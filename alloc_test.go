@@ -4,16 +4,23 @@ package fpcache
 // contract hands the caller's ops scratch buffer to the design, so
 // after warmup a functional run performs zero heap allocations per
 // reference — these tests pin that property for every design so a
-// regression fails CI rather than silently melting throughput.
+// regression fails CI rather than silently melting throughput. The
+// timing runner keeps the same budget through pooled flight records
+// and callbacks bound once (DESIGN.md §3), pinned by
+// TestTimingZeroAllocs and TestControllerSubmitZeroAllocs.
 
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"fpcache/internal/dcache"
+	"fpcache/internal/dram"
 	"fpcache/internal/memtrace"
+	"fpcache/internal/sim"
+	"fpcache/internal/system"
 )
 
 // allocBudgetKinds is every design the zero-allocation budget covers:
@@ -76,6 +83,78 @@ func TestAccessZeroAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: Access allocates %.2f allocs/op in steady state, want 0", name, avg)
 		}
+	}
+}
+
+// timingMallocs runs a warmed footprint RunTiming over the first
+// warmup+refs records and returns the heap allocations it made.
+func timingMallocs(t *testing.T, recs []memtrace.Record, warmup, refs, mlp int) uint64 {
+	t.Helper()
+	d, err := NewDesign(Config{Workload: WebSearch, Design: Footprint, PaperCapacityMB: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := system.TimingConfig{MLP: mlp, WarmupRefs: warmup, MaxRefs: refs}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	_, err = system.RunTiming(d, memtrace.NewSlice(recs), cfg)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m1.Mallocs - m0.Mallocs
+}
+
+// TestTimingZeroAllocs extends the budget to the timing runner: a run
+// twice as long must not allocate per reference. The extra N
+// references of a 2N run may only grow pools to a higher high water
+// (flights in flight, demux queue rings, controller bank queues,
+// pending events) — a few dozen allocations, a logarithmic or bounded
+// function of run length — so the extra mallocs per extra reference
+// must stay below 1e-3; one allocation on even 0.1% of references
+// fails the test.
+func TestTimingZeroAllocs(t *testing.T) {
+	const warmup, n = 50_000, 100_000
+	src, prof, err := NewTrace(Config{Workload: WebSearch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := memtrace.Collect(src, warmup+2*n)
+	once := timingMallocs(t, recs, warmup, n, prof.MLP)
+	twice := timingMallocs(t, recs, warmup, 2*n, prof.MLP)
+	extra := int64(twice) - int64(once)
+	perRef := float64(extra) / n
+	t.Logf("%d mallocs over %d refs, %d over %d: %.5f allocs/ref", once, n, twice, 2*n, perRef)
+	if perRef >= 1e-3 {
+		t.Errorf("RunTiming allocates %.4f allocs/ref in steady state (%d mallocs over %d refs, %d over %d), want 0",
+			perRef, once, n, twice, 2*n)
+	}
+}
+
+// TestControllerSubmitZeroAllocs pins the controller's share: once a
+// reused Request has completed once (binding its completion
+// callback), submitting it and running it to completion allocates
+// nothing — reads and writes, row hits and conflicts alike.
+func TestControllerSubmitZeroAllocs(t *testing.T) {
+	eng := &sim.Engine{}
+	ctrl := dram.NewController(eng, dram.StackedDDR3_3200())
+	completed := 0
+	req := &dram.Request{Bytes: 64, Done: func(sim.Cycle) { completed++ }}
+	rng := rand.New(rand.NewSource(1))
+	round := func() {
+		req.Addr = memtrace.Addr(rng.Intn(1<<20) * 64)
+		req.Write = rng.Intn(3) == 0
+		ctrl.Submit(req)
+		eng.Run(nil)
+	}
+	for i := 0; i < 1000; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(2000, round); avg != 0 {
+		t.Errorf("Controller.Submit + completion allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+	if want := 1000 + 2001; completed != want {
+		t.Errorf("%d completions, want %d", completed, want)
 	}
 }
 

@@ -12,6 +12,7 @@ package fpcache
 import (
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fpcache/internal/core"
@@ -195,6 +196,37 @@ func BenchmarkEventEngine(b *testing.B) {
 	eng.Schedule(0, spawn)
 	b.ResetTimer()
 	eng.Run(nil)
+}
+
+// BenchmarkRunTiming measures the timing pipeline end to end
+// (generator -> footprint cache -> demux -> cores -> flights -> DRAM
+// controllers -> event engine) on a warmed design; one op is one
+// timed reference.
+func BenchmarkRunTiming(b *testing.B) {
+	cfg := Config{Workload: WebSearch, Design: Footprint, PaperCapacityMB: 64}
+	d, err := NewDesign(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, prof, err := NewTrace(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ops []dcache.Op
+	for i := 0; i < 50_000; i++ {
+		rec, _ := src.Next()
+		ops = d.Access(rec, ops).Ops
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	if _, err := system.RunTiming(d, src, system.TimingConfig{MLP: prof.MLP, MaxRefs: b.N}); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/ref")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/ref")
 }
 
 // BenchmarkFunctionalPipeline measures the end-to-end functional

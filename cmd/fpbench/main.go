@@ -12,6 +12,7 @@
 //	fpbench -state-cache .warm -state-cache-max 1073741824
 //	fpbench -max-retries 2 -point-timeout 5m -tolerate
 //	fpbench -fault-spec 'point:transient:fails=1' -max-retries 2
+//	fpbench -figure figure6 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Simulation points fan out over a worker pool (internal/sweep);
 // results are gathered in declaration order, so output is
@@ -28,6 +29,9 @@
 // (included per experiment in the -json output). -fault-spec injects
 // scheduled faults (internal/faultinject) to exercise that machinery
 // end to end.
+//
+// -cpuprofile FILE and -memprofile FILE write pprof profiles of the
+// run (a CPU profile, and a heap profile taken when it ends).
 package main
 
 import (
@@ -40,6 +44,7 @@ import (
 
 	"fpcache/internal/experiments"
 	"fpcache/internal/faultinject"
+	"fpcache/internal/profiling"
 	"fpcache/internal/sweep"
 )
 
@@ -65,6 +70,7 @@ func main() {
 	)
 	flag.IntVar(&workers, "j", 0, "parallel simulation points: 0 = all cores, 1 = serial")
 	flag.IntVar(&workers, "parallel", 0, "alias for -j")
+	profiles := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -118,19 +124,21 @@ func main() {
 		names = []string{*figure}
 	}
 
-	if *jsonOut != "" {
-		if err := runJSON(names, o, *jsonOut); err != nil {
-			fmt.Fprintln(os.Stderr, "fpbench:", err)
-			os.Exit(1)
-		}
-		return
+	stop, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fpbench:", err)
+		os.Exit(1)
 	}
-
-	var err error
-	if *figure == "" {
+	switch {
+	case *jsonOut != "":
+		err = runJSON(names, o, *jsonOut)
+	case *figure == "":
 		err = experiments.RunAll(o, os.Stdout)
-	} else {
+	default:
 		err = experiments.Run(*figure, o, os.Stdout)
+	}
+	if serr := stop(); err == nil {
+		err = serr
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fpbench:", err)

@@ -63,6 +63,12 @@
 // for good) while surviving points still print. -fault-spec injects
 // scheduled faults — point failures and trace-read stream corruption —
 // to exercise that machinery.
+//
+// -cpuprofile FILE and -memprofile FILE write pprof profiles of the
+// run (a CPU profile, and a heap profile taken when it ends):
+//
+//	fpsim -mode timing -refs 500000 -cpuprofile cpu.pprof
+//	go tool pprof -top cpu.pprof
 package main
 
 import (
@@ -78,11 +84,19 @@ import (
 	"fpcache"
 	"fpcache/internal/faultinject"
 	"fpcache/internal/memtrace"
+	"fpcache/internal/profiling"
 	"fpcache/internal/sweep"
 	"fpcache/internal/system"
 )
 
 func main() {
+	run()
+	exit(0)
+}
+
+// run parses the flags and runs the requested simulations; it exits
+// through fail or exit on error.
+func run() {
 	var (
 		workload  = flag.String("workload", fpcache.WebSearch, "workload name(s), comma-separated")
 		design    = flag.String("design", string(fpcache.Footprint), "cache design(s) or composite policy spec(s), comma-separated")
@@ -110,12 +124,18 @@ func main() {
 		faultSpec = flag.String("fault-spec", "", "inject scheduled faults, e.g. 'point:transient:fails=1;trace-read:flipbit:offset=64' (testing the fault tolerance itself)")
 		list      = flag.Bool("list", false, "list workload, design, and policy names and exit")
 	)
+	profiles := profiling.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
 		printLists(os.Stdout)
 		return
 	}
+	stop, err := profiles.Start()
+	if err != nil {
+		fail(err)
+	}
+	stopProfiles = stop
 
 	if *mode != "functional" && *mode != "timing" {
 		fail(fmt.Errorf("unknown mode %q (functional or timing)", *mode))
@@ -164,7 +184,6 @@ func main() {
 
 	var inj *faultinject.Injector
 	if *faultSpec != "" {
-		var err error
 		if inj, err = faultinject.Parse(*faultSpec); err != nil {
 			fail(err)
 		}
@@ -343,7 +362,7 @@ func main() {
 		fmt.Print(rep)
 	}
 	if failed {
-		os.Exit(1)
+		exit(1)
 	}
 }
 
@@ -710,5 +729,18 @@ func printTiming(w io.Writer, cfg fpcache.Config, res fpcache.TimingResult) {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "fpsim:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// stopProfiles ends the -cpuprofile/-memprofile profiles. exit calls
+// it because os.Exit skips deferred calls.
+var stopProfiles = func() error { return nil }
+
+// exit ends the profiles and the process.
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, "fpsim:", err)
+		code = 1
+	}
+	os.Exit(code)
 }

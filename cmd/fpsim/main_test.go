@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -260,5 +261,38 @@ func TestIntervalPointMatchesSerial(t *testing.T) {
 	}
 	if !strings.Contains(warm, "restored 4") {
 		t.Fatalf("warm run did not restore every boundary checkpoint:\n%s", warm)
+	}
+}
+
+// TestProfileFlags runs fpsim with -cpuprofile and -memprofile (the
+// test binary re-executes itself as the command) and checks that both
+// profiles are written as gzipped pprof data.
+func TestProfileFlags(t *testing.T) {
+	if args := os.Getenv("FPSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"fpsim"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-mode", "timing", "-workload", fpcache.MapReduce, "-capacity", "64",
+		"-refs", "20000", "-warmup", "10000", "-cpuprofile", cpu, "-memprofile", mem}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestProfileFlags$")
+	cmd.Env = append(os.Environ(), "FPSIM_TEST_ARGS="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("fpsim %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	if !strings.Contains(string(out), "IPC") {
+		t.Errorf("fpsim printed no timing report:\n%s", out)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: %d bytes, want a non-empty gzipped pprof profile", filepath.Base(path), len(data))
+		}
 	}
 }

@@ -38,6 +38,10 @@ type Core[P any] struct {
 
 	pull  PullFn[P]
 	issue IssueFn[P]
+	// stepFn and completeFn are c.step and c.onComplete, bound once in
+	// New: every reschedule and every read issue hands them out, and a
+	// fresh method value per call would allocate.
+	stepFn, completeFn func()
 
 	hasPending  bool
 	pendRec     memtrace.Record
@@ -65,12 +69,19 @@ func New[P any](id, mlp int, eng *sim.Engine, pull PullFn[P], issue IssueFn[P]) 
 	if mlp < 1 {
 		mlp = 1
 	}
-	return &Core[P]{id: id, mlp: mlp, eng: eng, pull: pull, issue: issue}
+	c := &Core[P]{id: id, mlp: mlp, eng: eng, pull: pull, issue: issue}
+	c.stepFn, c.completeFn = c.step, c.onComplete
+	return c
 }
+
+// postedDone is the completion callback of posted writes: nothing
+// waits on them. A package-level function rather than a literal at
+// the call site, which under generic shaping escapes per call.
+func postedDone() {}
 
 // Start schedules the core's first issue. Call once.
 func (c *Core[P]) Start() {
-	c.eng.Schedule(c.eng.Now(), c.step)
+	c.eng.Schedule(c.eng.Now(), c.stepFn)
 }
 
 // Finished reports whether the core exhausted its trace.
@@ -78,6 +89,8 @@ func (c *Core[P]) Finished() bool { return c.finished }
 
 // step advances the core: fetch the next record if needed, wait out
 // its compute gap, then issue when an MLP slot is free.
+//
+//fplint:hotpath
 func (c *Core[P]) step() {
 	if !c.hasPending {
 		rec, payload, ok := c.pull()
@@ -90,7 +103,7 @@ func (c *Core[P]) step() {
 	}
 	now := c.eng.Now()
 	if now < c.readyAt {
-		c.eng.Schedule(c.readyAt, c.step)
+		c.eng.Schedule(c.readyAt, c.stepFn)
 		return
 	}
 	if !c.pendRec.Write && c.outstanding >= c.mlp {
@@ -109,13 +122,13 @@ func (c *Core[P]) step() {
 	c.LastIssue = now
 	if rec.Write {
 		// Posted writeback: consumes bandwidth, not an MLP slot.
-		c.issue(rec, payload, func() {})
+		c.issue(rec, payload, postedDone)
 	} else {
 		c.outstanding++
-		c.issue(rec, payload, c.onComplete)
+		c.issue(rec, payload, c.completeFn)
 	}
 	// Pipeline: move straight to the next record's gap.
-	c.eng.Schedule(now, c.step)
+	c.eng.Schedule(now, c.stepFn)
 }
 
 // onComplete returns an MLP slot and unblocks a stalled core.
@@ -127,6 +140,6 @@ func (c *Core[P]) onComplete() {
 	if c.stalled {
 		c.stalled = false
 		c.StallCycles += uint64(c.eng.Now() - c.stalledSince)
-		c.eng.Schedule(c.eng.Now(), c.step)
+		c.eng.Schedule(c.eng.Now(), c.stepFn)
 	}
 }

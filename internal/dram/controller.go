@@ -10,6 +10,12 @@ import (
 // the payload size (multiple of 64); transfers larger than 64B are
 // streamed from consecutive addresses on (usually) one row. Done is
 // called when the last data beat completes.
+//
+// A Request may be resubmitted once its Done has fired, but must not
+// be copied after its first Submit. Completion is scheduled through a
+// callback bound to the request the first time it completes, so a
+// caller that reuses its Request records (the timing runner pools one
+// per outcome operation) schedules completions without allocating.
 type Request struct {
 	Addr  memtrace.Addr
 	Bytes int
@@ -19,7 +25,14 @@ type Request struct {
 	arrived sim.Cycle
 	seq     uint64
 	loc     Location
+	// doneAt is the completion cycle handed to Done; fire is the
+	// bound r.complete, cached on first completion.
+	doneAt sim.Cycle
+	fire   func()
 }
+
+// complete delivers the completion cycle to Done.
+func (r *Request) complete() { r.Done(r.doneAt) }
 
 // CmdKind identifies a DRAM command reported through the Trace hook.
 type CmdKind uint8
@@ -125,6 +138,9 @@ type channelState struct {
 
 	wakeArmed bool
 	wake      sim.Ticket
+	// wakeFn re-runs the channel's scheduler at an armed wakeup; bound
+	// once per channel so arming a wakeup never allocates.
+	wakeFn func()
 }
 
 type bankState struct {
@@ -186,6 +202,11 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 			ch.banks[b].openRow = -1
 		}
 		ch.refDueAt = c.t.refi
+		chIdx := i
+		ch.wakeFn = func() {
+			ch.wakeArmed = false
+			c.schedule(chIdx)
+		}
 		c.chns = append(c.chns, ch)
 	}
 	return c
@@ -204,21 +225,30 @@ func (c *Controller) QueueDepth() int {
 }
 
 // Submit enqueues a request. Done fires on completion.
+//
+//fplint:hotpath
 func (c *Controller) Submit(req *Request) {
 	req.arrived = c.eng.Now()
 	req.seq = c.seq
 	c.seq++
 	req.loc = c.cfg.Decode(req.Addr)
 	ch := c.chns[req.loc.Channel]
-	b := &ch.banks[req.loc.Bank]
+	ch.banks[req.loc.Bank].enqueue(req)
 	if req.Write {
-		b.wq = append(b.wq, req)
 		ch.nWrites++
 	} else {
-		b.rq = append(b.rq, req)
 		ch.nReads++
 	}
 	c.pump(req.loc.Channel)
+}
+
+// enqueue appends req to the bank's read or write queue.
+func (b *bankState) enqueue(req *Request) {
+	if req.Write {
+		b.wq = append(b.wq, req)
+	} else {
+		b.rq = append(b.rq, req)
+	}
 }
 
 // pump re-evaluates a channel's schedule after state changed (a new
@@ -282,10 +312,7 @@ func (c *Controller) schedule(chIdx int) {
 				continue
 			}
 			ch.wakeArmed = true
-			ch.wake = c.eng.Schedule(best.start, func() {
-				ch.wakeArmed = false
-				c.schedule(chIdx)
-			})
+			ch.wake = c.eng.Schedule(best.start, ch.wakeFn)
 			return
 		}
 		c.commit(chIdx, ch, best)
@@ -544,8 +571,13 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 
 	c.LatencySum += uint64(dataEnd - req.arrived)
 	c.LatencyCount++
-	if done := req.Done; done != nil {
-		c.eng.Schedule(dataEnd, func() { done(dataEnd) })
+	if req.Done != nil {
+		req.doneAt = dataEnd
+		if req.fire == nil {
+			//fplint:ignore allocbudget bound once per Request and cached; a reused Request schedules the cached callback
+			req.fire = req.complete
+		}
+		c.eng.Schedule(dataEnd, req.fire)
 	}
 }
 

@@ -255,3 +255,60 @@ func TestPropertyEventOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the engine runs events exactly in (time, insertion) order
+// — the order a stable sort by time gives — with many ties, events
+// scheduled from inside events, and cancellations interleaved.
+func TestPropertyExactTieOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var e Engine
+		type ev struct {
+			at        Cycle
+			id        int
+			cancelled bool
+		}
+		var sched []*ev
+		var got []int
+		var add func(at Cycle)
+		add = func(at Cycle) {
+			x := &ev{at: max(at, e.Now()), id: len(sched)}
+			sched = append(sched, x)
+			tk := e.Schedule(at, func() {
+				got = append(got, x.id)
+				if len(sched) < 400 && rng.Intn(2) == 0 {
+					add(e.Now() + Cycle(rng.Intn(4)))
+				}
+			})
+			if rng.Intn(8) == 0 {
+				x.cancelled = e.Cancel(tk)
+			}
+		}
+		for i := 0; i < 100; i++ {
+			add(Cycle(rng.Intn(20)))
+		}
+		e.Run(nil)
+		// Events scheduled from inside an event are inserted after every
+		// event already queued, so a stable sort by time over insertion
+		// order is the expected firing order.
+		var want []*ev
+		for _, x := range sched {
+			if !x.cancelled {
+				want = append(want, x)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != want[i].id {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -299,8 +299,8 @@ func (s *SimState) Restore(r io.Reader, want SnapshotMeta) error {
 
 // validateOps rejects a structurally invalid operation list — a
 // malformed outcome DAG would otherwise deadlock the timing
-// simulator's dispatch (see dispatchOps) and silently strand pooled
-// buffers. A design emitting one is a programming error, but on a
+// simulator's dispatch (see flight.dispatch) and silently strand
+// pooled flights. A design emitting one is a programming error, but on a
 // server-scale sweep it must fail its one point, not the process: the
 // error wraps fault.ErrInvalidOps so the sweep layer classifies and
 // reports it. (Tests that want the old fail-loudly behavior panic in

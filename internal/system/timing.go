@@ -70,8 +70,8 @@ type TimingResult struct {
 	// QueueHighWater is the run's high-water mark of records buffered
 	// across the demux's per-core queues. Pinning functional state
 	// transitions to trace order means a core-skewed trace buffers the
-	// skew (each queued record holding a pooled ops buffer); this
-	// reports that memory cost instead of leaving it unmeasured.
+	// skew (each queued record holding its ops); this reports that
+	// memory cost instead of leaving it unmeasured.
 	QueueHighWater uint64
 	// Partition carries partition statistics when the design
 	// partitions its stacked capacity, nil otherwise.
@@ -99,19 +99,51 @@ func (r TimingResult) StackedEnergyPerInstr() energy.Breakdown {
 	return energy.Stacked().Of(r.Stacked).PerInstruction(r.Instructions)
 }
 
-// outcome is the payload attached to each timed record: its
-// functionally precomputed operation list (held in a pooled buffer)
-// and the SRAM tag lead time. It crosses the cpu.Core boundary
-// alongside the record, which the core already carries.
-type outcome struct {
-	ops       []dcache.Op
+// timedRec is one queued record: the trace record, its outcome's
+// SRAM lead time, and how many of its ops follow in the core's op
+// ring.
+type timedRec struct {
+	rec       memtrace.Record
 	tagCycles int
+	nOps      int
 }
 
-// timedRec is one queued record with its outcome.
-type timedRec struct {
-	rec memtrace.Record
-	out outcome
+// coreQueue buffers one core's drained records until the core pulls
+// them. A queued outcome's ops wait in the op ring, in record order;
+// the core's pull moves them into a flight.
+type coreQueue struct {
+	recs ring[timedRec]
+	ops  ring[dcache.Op]
+}
+
+// ring is a growable FIFO over a power-of-two buffer. Popped slots are
+// cleared, and a queue that stays within its high water never
+// reallocates.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (q *ring[T]) push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(16, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = v
+	q.n++
+}
+
+func (q *ring[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return v
 }
 
 // demux fans one interleaved trace out to per-core queues, performing
@@ -123,18 +155,21 @@ type timedRec struct {
 // functional results (the scheduling-parity regression test), and the
 // counters match RunFunctional byte for byte.
 //
-// The cost of the decoupling is that queued records pin their outcome
-// buffers: a trace whose records skew heavily toward one core makes
-// the other cores' pulls drain (and functionally evaluate) the
-// remainder of the trace up front, holding one ops buffer per queued
-// record. Synthetic workloads interleave cores evenly, so queues stay
-// shallow; a pathologically skewed replayed trace costs memory
-// proportional to the skew, never correctness. The queued/highWater
-// counters measure that cost per run (TimingResult.QueueHighWater).
+// The cost of the decoupling is that queued records hold their ops: a
+// trace whose records skew heavily toward one core makes the other
+// cores' pulls drain (and functionally evaluate) the remainder of the
+// trace up front, buffering every queued record's ops. Synthetic
+// workloads interleave cores evenly, but cores progress at different
+// rates, so their queues drift apart slowly (about 10k records after
+// 160k web-search references); a pathologically skewed replayed trace
+// costs memory proportional to the skew, never correctness. The
+// queued/highWater counters measure that cost per run
+// (TimingResult.QueueHighWater).
 type demux struct {
 	src    memtrace.Source
 	design dcache.Design
-	queues [][]timedRec
+	p      *pipeline
+	queues []coreQueue
 	left   int
 	done   bool
 
@@ -154,50 +189,40 @@ type demux struct {
 	// drained references the policy decides from the design's
 	// cumulative telemetry — in trace order, exactly as
 	// RunFunctionalResized — and a firing decision's transition ops
-	// are handed to onResize for dispatch.
-	pol      ResizePolicy
-	period   uint64
-	part     func() dcache.PartitionStats
-	rz       Resizable
-	onResize func(ops []dcache.Op)
-	drained  uint64
+	// dispatch at once as background traffic.
+	pol     ResizePolicy
+	period  uint64
+	part    func() dcache.PartitionStats
+	rz      Resizable
+	drained uint64
 	// startRefs offsets the resize schedule (TimingConfig.ResizeStartRefs).
 	startRefs uint64
 
-	// Timed outcomes outlive the next Access (their ops dispatch after
-	// the SRAM lead time and complete asynchronously), so each outcome
-	// is copied out of the scratch buffer into a pooled buffer,
-	// recycled when its last operation completes. The event loop is
-	// single-threaded, so the pool needs no locking.
+	// scratch is the Access scratch buffer; each outcome is copied out
+	// of it into its core's queue, because timed outcomes outlive the
+	// next Access.
 	scratch []dcache.Op
-	pool    [][]dcache.Op
 }
 
-func newDemux(src memtrace.Source, design dcache.Design, cores, maxRefs int, scratch []dcache.Op) *demux {
-	return &demux{
-		src:     src,
-		design:  design,
-		queues:  make([][]timedRec, cores),
-		left:    maxRefs,
-		scratch: scratch,
-	}
-}
-
-// pull returns the next record (with its precomputed outcome) for the
-// given core.
-func (d *demux) pull(core int) (timedRec, bool) {
+// pull returns the next record for the given core, with the flight
+// carrying its precomputed outcome.
+func (d *demux) pull(core int) (memtrace.Record, *flight, bool) {
 	for {
 		if d.err != nil {
-			return timedRec{}, false
+			return memtrace.Record{}, nil, false
 		}
-		if q := d.queues[core]; len(q) > 0 {
-			tr := q[0]
-			d.queues[core] = q[1:]
+		if q := &d.queues[core]; q.recs.n > 0 {
+			tr := q.recs.pop()
+			fl := d.p.acquire(tr.nOps)
+			for i := range fl.ops {
+				fl.ops[i] = q.ops.pop()
+			}
+			fl.tagCycles = tr.tagCycles
 			d.queued--
-			return tr, true
+			return tr.rec, fl, true
 		}
 		if d.done || d.left <= 0 {
-			return timedRec{}, false
+			return memtrace.Record{}, nil, false
 		}
 		rec, ok := d.src.Next()
 		if !ok {
@@ -211,14 +236,15 @@ func (d *demux) pull(core int) (timedRec, bool) {
 			if err := validateOps(d.design, res.Ops, "outcome"); err != nil {
 				d.err = err
 				d.done = true
-				return timedRec{}, false
+				return memtrace.Record{}, nil, false
 			}
 		}
 		d.scratch = res.Ops
-		ops := d.getOps(len(res.Ops))
-		copy(ops, res.Ops)
-		c := int(rec.Core) % len(d.queues)
-		d.queues[c] = append(d.queues[c], timedRec{rec: rec, out: outcome{ops: ops, tagCycles: res.TagCycles}})
+		q := &d.queues[int(rec.Core)%len(d.queues)]
+		q.recs.push(timedRec{rec: rec, tagCycles: res.TagCycles, nOps: len(res.Ops)})
+		for _, op := range res.Ops {
+			q.ops.push(op)
+		}
 		if d.queued++; d.queued > d.highWater {
 			d.highWater = d.queued
 		}
@@ -232,11 +258,14 @@ func (d *demux) pull(core int) (timedRec, bool) {
 				if err := validateOps(d.design, d.scratch, "resize transition"); err != nil {
 					d.err = err
 					d.done = true
-					return timedRec{}, false
+					return memtrace.Record{}, nil, false
 				}
-				buf := d.getOps(len(d.scratch))
-				copy(buf, d.scratch)
-				d.onResize(buf)
+				// Resize traffic is pure background: nothing gates on
+				// it, and the flight recycles when the last op lands.
+				rz := d.p.acquire(len(d.scratch))
+				copy(rz.ops, d.scratch)
+				rz.read, rz.done = false, noWaiter
+				rz.dispatch()
 			}
 		}
 	}
@@ -249,23 +278,165 @@ func (d *demux) pull(core int) (timedRec, bool) {
 // steady-state hot path.
 const validateOutcomes = 64
 
-// getOps takes a buffer of length n from the pool, or allocates one.
-func (d *demux) getOps(n int) []dcache.Op {
-	if k := len(d.pool); k > 0 {
-		buf := d.pool[k-1]
-		d.pool[k-1] = nil
-		d.pool = d.pool[:k-1]
-		if cap(buf) < n {
-			buf = make([]dcache.Op, n)
-		}
-		return buf[:n]
-	}
-	return make([]dcache.Op, n)
+// pipeline is the dispatch context one timing run shares across its
+// flights: the engine, both controllers, the free list of flights,
+// and the read-record latency accumulators. The event loop is
+// single-threaded, so none of it needs locking.
+type pipeline struct {
+	eng        *sim.Engine
+	offC, stkC *dram.Controller
+	free       []*flight
+
+	readLat              *stats.Histogram
+	readLatSum, readLatN uint64
 }
 
-// putOps returns a buffer to the pool.
-func (d *demux) putOps(buf []dcache.Op) {
-	d.pool = append(d.pool, buf)
+// flight tracks one outcome's operation DAG through the DRAM
+// controllers. Ops with no dependency submit when the flight
+// dispatches, each dependent submits when its parent completes, done
+// fires when every critical op has completed (right after the root
+// submissions if there are none), and the flight returns to the free
+// list when every op has completed. Dependents are found by scanning
+// ops, which keeps the tracker free of per-outcome bookkeeping
+// (outcome DAGs are at most a few dozen ops deep).
+//
+// Flights are pooled and every callback they hand out is bound once,
+// when the flight or request record is created, so a steady-state
+// dispatch allocates nothing.
+type flight struct {
+	p   *pipeline
+	ops []dcache.Op
+	// reqs[i] is ops[i]'s DRAM request record, reused across the
+	// flight's incarnations.
+	reqs      []opReq
+	tagCycles int
+
+	critLeft, allLeft int
+	// read flights record issue-to-completion latency when done fires.
+	read     bool
+	issuedAt sim.Cycle
+	done     func()
+
+	// dispatchFn is fl.dispatch, bound once.
+	dispatchFn func()
+}
+
+// opReq is one op's DRAM request, with Done bound to complete.
+type opReq struct {
+	dram.Request
+	fl *flight
+	op int
+}
+
+// noWaiter is the completion callback of flights nothing waits on.
+func noWaiter() {}
+
+// acquire takes a flight from the free list (or allocates one) with
+// room for n ops. Buffers are sized to the largest outcome the flight
+// has carried, never padded.
+func (p *pipeline) acquire(n int) *flight {
+	var fl *flight
+	if k := len(p.free); k > 0 {
+		fl = p.free[k-1]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
+	} else {
+		fl = &flight{p: p}
+		fl.dispatchFn = fl.dispatch
+	}
+	if cap(fl.ops) < n {
+		fl.ops = make([]dcache.Op, n)
+		fl.reqs = make([]opReq, n)
+		for i := range fl.reqs {
+			r := &fl.reqs[i]
+			r.fl, r.op = fl, i
+			r.Done = r.complete
+		}
+	}
+	fl.ops = fl.ops[:n]
+	return fl
+}
+
+// dispatch submits the flight's root ops; it runs once the outcome's
+// SRAM lead time has elapsed (resize transitions dispatch at once).
+//
+//fplint:hotpath
+func (fl *flight) dispatch() {
+	fl.critLeft, fl.allLeft = 0, len(fl.ops)
+	for i := range fl.ops {
+		if fl.ops[i].Critical {
+			fl.critLeft++
+		}
+	}
+	for i := range fl.ops {
+		if fl.ops[i].DependsOn == dcache.NoDep {
+			fl.submit(i)
+		}
+	}
+	// Completions are scheduled events, never synchronous with
+	// Submit, so no op has completed yet: nothing gates a flight
+	// without critical ops (posted writes), which finishes now and
+	// drains in the background.
+	if fl.critLeft == 0 {
+		fl.finish()
+	}
+	if fl.allLeft == 0 {
+		fl.p.release(fl)
+	}
+}
+
+// submit issues op i to its controller.
+func (fl *flight) submit(i int) {
+	op := &fl.ops[i]
+	r := &fl.reqs[i]
+	r.Addr, r.Bytes, r.Write = op.Addr, op.Bytes, op.Write
+	ctrl := fl.p.stkC
+	if op.Level == dcache.OffChip {
+		ctrl = fl.p.offC
+	}
+	ctrl.Submit(&r.Request)
+}
+
+// complete is op r.op's DRAM completion: it may finish the flight,
+// issues the op's dependents, and releases the flight after its last
+// op.
+//
+//fplint:hotpath
+func (r *opReq) complete(sim.Cycle) {
+	fl := r.fl
+	if fl.ops[r.op].Critical {
+		fl.critLeft--
+		if fl.critLeft == 0 {
+			fl.finish()
+		}
+	}
+	for j := range fl.ops {
+		if fl.ops[j].DependsOn == r.op {
+			fl.submit(j)
+		}
+	}
+	fl.allLeft--
+	if fl.allLeft == 0 {
+		fl.p.release(fl)
+	}
+}
+
+// finish signals the flight's waiter, recording read latency.
+func (fl *flight) finish() {
+	if fl.read {
+		p := fl.p
+		lat := uint64(p.eng.Now() - fl.issuedAt)
+		p.readLatSum += lat
+		p.readLatN++
+		p.readLat.Add(int64(lat))
+	}
+	fl.done()
+}
+
+// release returns a completed flight to the free list.
+func (p *pipeline) release(fl *flight) {
+	fl.done = nil
+	p.free = append(p.free, fl)
 }
 
 // RunTiming executes an event-driven simulation of the pod: cores
@@ -317,61 +488,47 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	ctr0 := design.Counters()
 
 	eng := &sim.Engine{}
-	offC := dram.NewController(eng, offCfg)
-	stkC := dram.NewController(eng, stkCfg)
-	dm := newDemux(src, design, cfg.Cores, cfg.MaxRefs, scratch)
-	if rz, ok := design.(Resizable); ok && policyPeriod(cfg.Resize) > 0 {
-		dm.pol, dm.period, dm.rz = cfg.Resize, uint64(cfg.Resize.Period()), rz
-		dm.part = partitionExtra(design)
-		dm.startRefs = cfg.ResizeStartRefs
-		dm.onResize = func(ops []dcache.Op) {
-			// Resize traffic is pure background: nothing gates on it,
-			// and the pooled buffer recycles when the last op lands.
-			dispatchOps(eng, ops, offC, stkC, func() {}, dm.putOps)
-		}
+	p := &pipeline{
+		eng:     eng,
+		offC:    dram.NewController(eng, offCfg),
+		stkC:    dram.NewController(eng, stkCfg),
+		readLat: stats.NewHistogram(stats.LatencyBounds()...),
+	}
+	dm := &demux{
+		src:     src,
+		design:  design,
+		p:       p,
+		queues:  make([]coreQueue, cfg.Cores),
+		left:    cfg.MaxRefs,
+		scratch: scratch,
 	}
 	part := partitionExtra(design)
+	if rz, ok := design.(Resizable); ok && policyPeriod(cfg.Resize) > 0 {
+		dm.pol, dm.period, dm.rz = cfg.Resize, uint64(cfg.Resize.Period()), rz
+		dm.part = part
+		dm.startRefs = cfg.ResizeStartRefs
+	}
 	var pt0 dcache.PartitionStats
 	if part != nil {
 		pt0 = part()
 	}
 
-	res := TimingResult{
-		Design:      design.Name(),
-		ReadLatency: stats.NewHistogram(stats.LatencyBounds()...),
-	}
-	var readLatSum, readLatN uint64
+	res := TimingResult{Design: design.Name(), ReadLatency: p.readLat}
 
-	// The precomputed outcome travels from pull to issue as the core's
+	// The outcome's flight travels from pull to issue as the core's
 	// record payload, so the record/ops association is structural.
-	issue := func(rec memtrace.Record, out outcome, done func()) {
+	// SRAM latencies (L2 probe + cache metadata) precede its DRAM
+	// operations.
+	issue := func(rec memtrace.Record, fl *flight, done func()) {
 		res.Refs++
-		issuedAt := eng.Now()
-		notify := done
-		if !rec.Write {
-			notify = func() {
-				lat := uint64(eng.Now() - issuedAt)
-				readLatSum += lat
-				readLatN++
-				res.ReadLatency.Add(int64(lat))
-				done()
-			}
-		}
-		// SRAM latencies (L2 probe + cache metadata) precede DRAM
-		// operations.
-		lead := sim.Cycle(cfg.L2Cycles + out.tagCycles)
-		eng.After(lead, func() {
-			dispatchOps(eng, out.ops, offC, stkC, notify, dm.putOps)
-		})
+		fl.read, fl.issuedAt, fl.done = !rec.Write, eng.Now(), done
+		eng.After(sim.Cycle(cfg.L2Cycles+fl.tagCycles), fl.dispatchFn)
 	}
 
-	cores := make([]*cpu.Core[outcome], cfg.Cores)
+	cores := make([]*cpu.Core[*flight], cfg.Cores)
 	for i := range cores {
 		id := i
-		pull := func() (memtrace.Record, outcome, bool) {
-			tr, ok := dm.pull(id)
-			return tr.rec, tr.out, ok
-		}
+		pull := func() (memtrace.Record, *flight, bool) { return dm.pull(id) }
 		cores[i] = cpu.New(id, cfg.MLP, eng, pull, issue)
 		cores[i].Start()
 	}
@@ -385,83 +542,17 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	res.Cycles = uint64(eng.Now())
 	res.QueueHighWater = uint64(dm.highWater)
 	res.Counters = design.Counters().Sub(ctr0)
-	res.OffChip = offC.Stats
-	res.Stacked = stkC.Stats
+	res.OffChip = p.offC.Stats
+	res.Stacked = p.stkC.Stats
 	if part != nil {
 		s := part().Sub(pt0)
 		res.Partition = &s
 	}
-	if readLatN > 0 {
-		res.AvgReadLatency = float64(readLatSum) / float64(readLatN)
+	if p.readLatN > 0 {
+		res.AvgReadLatency = float64(p.readLatSum) / float64(p.readLatN)
 		res.ReadLatencyP50 = res.ReadLatency.Percentile(0.50)
 		res.ReadLatencyP90 = res.ReadLatency.Percentile(0.90)
 		res.ReadLatencyP99 = res.ReadLatency.Percentile(0.99)
 	}
 	return res, dm.err
-}
-
-// dispatchOps turns an outcome's operation DAG into DRAM
-// transactions: ops with no dependency issue immediately, dependents
-// issue on their parent's completion, and done fires when every
-// critical op has completed (immediately if there are none). When
-// every op (critical or not) has completed, ops is handed to release
-// so pooled buffers can be recycled; dependents are found by scanning
-// ops, which keeps the dispatch free of per-reference bookkeeping
-// allocations (outcome DAGs are at most a few dozen ops deep).
-func dispatchOps(eng *sim.Engine, ops []dcache.Op, offC, stkC *dram.Controller, done func(), release func([]dcache.Op)) {
-	if len(ops) == 0 {
-		done()
-		if release != nil {
-			release(ops)
-		}
-		return
-	}
-	critLeft := 0
-	for i := range ops {
-		if ops[i].Critical {
-			critLeft++
-		}
-	}
-	if critLeft == 0 {
-		// Nothing gates completion (posted writes): finish now, let
-		// the ops drain in the background.
-		defer done()
-	}
-	allLeft := len(ops)
-
-	var submit func(i int)
-	submit = func(i int) {
-		op := ops[i]
-		ctrl := stkC
-		if op.Level == dcache.OffChip {
-			ctrl = offC
-		}
-		ctrl.Submit(&dram.Request{
-			Addr:  op.Addr,
-			Bytes: op.Bytes,
-			Write: op.Write,
-			Done: func(sim.Cycle) {
-				if op.Critical {
-					critLeft--
-					if critLeft == 0 {
-						done()
-					}
-				}
-				for j := range ops {
-					if ops[j].DependsOn == i {
-						submit(j)
-					}
-				}
-				allLeft--
-				if allLeft == 0 && release != nil {
-					release(ops)
-				}
-			},
-		})
-	}
-	for i := range ops {
-		if ops[i].DependsOn == dcache.NoDep {
-			submit(i)
-		}
-	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // badDesign emits a structurally invalid outcome DAG: its op depends
-// on itself, which dispatchOps would never submit — the core waiting
-// on it would deadlock silently with its pooled buffer stranded.
+// on itself, which the flight tracker would never submit — the core
+// waiting on it would deadlock silently with its pooled flight
+// stranded.
 type badDesign struct {
 	ctr dcache.Counters
 }
