@@ -198,6 +198,45 @@ func BenchmarkEventEngine(b *testing.B) {
 	eng.Run(nil)
 }
 
+// BenchmarkEventEngineMixed measures the event engine at a timing
+// run's queue shape: about 24 pending events, a fifth of them
+// scheduled for the current cycle, most 16 to 2047 cycles out, and a
+// 0.1% tail past the engine's 2048-cycle wheel.
+func BenchmarkEventEngineMixed(b *testing.B) {
+	const pending = 24
+	rng := rand.New(rand.NewSource(1))
+	deltas := make([]sim.Cycle, 4096)
+	for i := range deltas {
+		switch r := rng.Intn(1000); {
+		case r < 200:
+			// due this cycle
+		case r < 300:
+			deltas[i] = sim.Cycle(1 + rng.Intn(15))
+		case r < 999:
+			deltas[i] = sim.Cycle(16 + rng.Intn(2048-16))
+		default:
+			deltas[i] = sim.Cycle(2048 + rng.Intn(20_000))
+		}
+	}
+	eng := &sim.Engine{}
+	scheduled := 0
+	var fire func()
+	fire = func() {
+		if scheduled < b.N {
+			eng.After(deltas[scheduled&(len(deltas)-1)], fire)
+			scheduled++
+		}
+	}
+	for scheduled < min(pending, b.N) {
+		eng.After(deltas[scheduled], fire)
+		scheduled++
+	}
+	b.ResetTimer()
+	eng.Run(nil)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.Executed), "ns/event")
+}
+
 // BenchmarkRunTiming measures the timing pipeline end to end
 // (generator -> footprint cache -> demux -> cores -> flights -> DRAM
 // controllers -> event engine) on a warmed design; one op is one

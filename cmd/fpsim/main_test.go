@@ -296,3 +296,30 @@ func TestProfileFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestExecTraceFlag runs fpsim with -exectrace and checks that a
+// non-empty runtime execution trace is written.
+func TestExecTraceFlag(t *testing.T) {
+	if args := os.Getenv("FPSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"fpsim"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "run.trace")
+	args := []string{"-mode", "timing", "-workload", fpcache.MapReduce, "-capacity", "64",
+		"-refs", "20000", "-warmup", "10000", "-exectrace", path}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestExecTraceFlag$")
+	cmd.Env = append(os.Environ(), "FPSIM_TEST_ARGS="+strings.Join(args, "\n"))
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("fpsim %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Execution traces open with a "go 1.N trace" header.
+	if !strings.HasPrefix(string(data), "go 1.") || len(data) < 64 {
+		t.Errorf("%s: %d bytes, want a non-empty execution trace", filepath.Base(path), len(data))
+	}
+}

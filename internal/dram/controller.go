@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math/bits"
+
 	"fpcache/internal/memtrace"
 	"fpcache/internal/sim"
 	"fpcache/internal/stats"
@@ -109,10 +111,11 @@ type Controller struct {
 }
 
 // cpuTiming is the Timing table pre-converted to CPU cycles, so the
-// scheduling hot path never repeats the float conversion.
+// scheduling hot path never repeats the float conversion; burst is the
+// bus time of one 64-byte burst.
 type cpuTiming struct {
 	cas, rcd, rp, ras, rc, wr, wtr, rtw, rtp, rrd, faw sim.Cycle
-	refi, rfc                                          sim.Cycle
+	refi, rfc, burst                                   sim.Cycle
 }
 
 type channelState struct {
@@ -120,6 +123,14 @@ type channelState struct {
 	nReads   int
 	nWrites  int
 	draining bool
+
+	// rqBanks and wqBanks have bit b set while bank b's read or write
+	// queue is non-empty, so arbitration visits only banks with work
+	// (in ascending bank order, as a full scan would).
+	rqBanks, wqBanks uint64
+	// cand[b] is bank b's candidate from the latest arbitration scan;
+	// prepAhead reuses it instead of planning the bank again.
+	cand []sched
 
 	busUsed   bool
 	busWrite  bool
@@ -188,6 +199,8 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 			rtp: sim.Cycle(cfg.cpuCycles(tm.TRTP)),
 			rrd: sim.Cycle(cfg.cpuCycles(tm.TRRD)),
 			faw: sim.Cycle(cfg.cpuCycles(tm.TFAW)),
+
+			burst: sim.Cycle(cfg.BurstCPUCycles(64)),
 		},
 		ReadLatency: stats.NewHistogram(stats.LatencyBounds()...),
 	}
@@ -197,7 +210,10 @@ func NewController(eng *sim.Engine, cfg Config) *Controller {
 	}
 	c.drainHigh, c.drainLow = cfg.writeThresholds()
 	for i := 0; i < cfg.Channels; i++ {
-		ch := &channelState{banks: make([]bankState, cfg.BanksPerChan)}
+		ch := &channelState{
+			banks: make([]bankState, cfg.BanksPerChan),
+			cand:  make([]sched, cfg.BanksPerChan),
+		}
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
 		}
@@ -236,8 +252,10 @@ func (c *Controller) Submit(req *Request) {
 	ch.banks[req.loc.Bank].enqueue(req)
 	if req.Write {
 		ch.nWrites++
+		ch.wqBanks |= 1 << req.loc.Bank
 	} else {
 		ch.nReads++
+		ch.rqBanks |= 1 << req.loc.Bank
 	}
 	c.pump(req.loc.Channel)
 }
@@ -291,10 +309,11 @@ func (c *Controller) schedule(chIdx int) {
 			c.refresh(chIdx, ch)
 			continue
 		}
-		best, serveWrites, ok := c.bestCandidate(ch, now)
-		if !ok {
+		bi, serveWrites := c.bestCandidate(ch, now)
+		if bi < 0 {
 			return
 		}
+		best := &ch.cand[bi]
 		if c.t.refi > 0 && best.start >= ch.refDueAt {
 			// The next command would issue past the refresh deadline:
 			// refresh first, then reschedule around the blocked banks.
@@ -319,12 +338,13 @@ func (c *Controller) schedule(chIdx int) {
 	}
 }
 
-// bestCandidate scans the channel's bank queues for the command
-// sequence with the earliest column command. Reads are served by default;
+// bestCandidate plans every bank with queued work into ch.cand and
+// returns the bank whose command sequence has the earliest column
+// command, or -1 when nothing is queued. Reads are served by default;
 // writes drain in bursts once the write queue crosses the high
 // threshold (until it reaches the low one) or opportunistically when
 // no reads are pending, amortizing bus turnaround.
-func (c *Controller) bestCandidate(ch *channelState, now sim.Cycle) (sched, bool, bool) {
+func (c *Controller) bestCandidate(ch *channelState, now sim.Cycle) (int, bool) {
 	if ch.nWrites >= c.drainHigh {
 		ch.draining = true
 	} else if ch.nWrites <= c.drainLow {
@@ -332,40 +352,47 @@ func (c *Controller) bestCandidate(ch *channelState, now sim.Cycle) (sched, bool
 	}
 	serveWrites := ch.nWrites > 0 && (ch.draining || ch.nReads == 0)
 
-	var best sched
-	found := false
-	for bi := range ch.banks {
-		pick := bankPick(&ch.banks[bi], serveWrites)
-		if pick == nil {
+	actMin := c.actWindowMin(ch)
+	best := -1
+	for m := ch.served(serveWrites); m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
+		s := &ch.cand[bi]
+		c.plan(ch, bi, bankPick(&ch.banks[bi], serveWrites), now, actMin, s)
+		if best < 0 {
+			best = bi
 			continue
 		}
-		s := c.plan(ch, bi, pick, now)
 		// Arbitrate on the column-command (data-slot) time, not the
 		// first command: under bus contention every candidate's CAS
 		// collapses to the next free bus slot, and the row-hit
 		// tie-break then implements FR-FCFS — a row conflict whose
 		// precharge could start earlier must not reserve the bus ahead
 		// of a ready row hit.
-		if !found || s.cas < best.cas ||
-			(s.cas == best.cas && s.rowHit && !best.rowHit) ||
-			(s.cas == best.cas && s.rowHit == best.rowHit && s.req.seq < best.req.seq) {
-			best = s
-			found = true
+		b := &ch.cand[best]
+		if s.cas < b.cas ||
+			(s.cas == b.cas && s.rowHit && !b.rowHit) ||
+			(s.cas == b.cas && s.rowHit == b.rowHit && s.req.seq < b.req.seq) {
+			best = bi
 		}
 	}
-	return best, serveWrites, found
+	return best, serveWrites
 }
 
-// bankPick returns a bank's FR-FCFS candidate from the served queue:
-// the oldest row hit, else the oldest request; nil with an empty
-// queue.
+// served returns the mask of banks with work in the served queue.
+func (ch *channelState) served(serveWrites bool) uint64 {
+	if serveWrites {
+		return ch.wqBanks
+	}
+	return ch.rqBanks
+}
+
+// bankPick returns a bank's FR-FCFS candidate from the served queue,
+// which must be non-empty: the oldest row hit, else the oldest
+// request.
 func bankPick(b *bankState, serveWrites bool) *Request {
 	q := b.rq
 	if serveWrites {
 		q = b.wq
-	}
-	if len(q) == 0 {
-		return nil
 	}
 	pick := q[0]
 	if b.openRow >= 0 && pick.loc.Row != b.openRow {
@@ -383,19 +410,19 @@ func bankPick(b *bankState, serveWrites bool) *Request {
 // issue now gets its PRE/ACT committed immediately, so the row is
 // open (and the access class counted) by the time its column command
 // wins the bus. Without this, one bank's bus wait would idle every
-// other bank's row preparation. Reports whether anything was prepped.
+// other bank's row preparation. It reuses the plans of the
+// bestCandidate scan that just ran; once a prep has recorded an
+// activate, the remaining banks are planned again against the moved
+// tRRD/tFAW window. Reports whether anything was prepped.
 func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serveWrites bool, skipBank int) bool {
 	prepped := false
-	for bi := range ch.banks {
-		if bi == skipBank {
-			continue
-		}
+	for m := ch.served(serveWrites) &^ (1 << skipBank); m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
 		b := &ch.banks[bi]
-		pick := bankPick(b, serveWrites)
-		if pick == nil {
-			continue
+		s := &ch.cand[bi]
+		if prepped {
+			c.plan(ch, bi, bankPick(b, serveWrites), now, c.actWindowMin(ch), s)
 		}
-		s := c.plan(ch, bi, pick, now)
 		if !s.needAct || s.start > now {
 			continue
 		}
@@ -406,7 +433,7 @@ func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serve
 		if s.needPre {
 			cls = prepConflict
 		}
-		c.openRowFor(chIdx, bi, ch, b, s, pick.loc.Row)
+		c.openRowFor(chIdx, bi, ch, b, s, s.req.loc.Row)
 		b.prepClass = cls
 		prepped = true
 	}
@@ -417,7 +444,7 @@ func (c *Controller) prepAhead(chIdx int, ch *channelState, now sim.Cycle, serve
 // events, activate-window bookkeeping, and bank-state updates. The
 // row-buffer access class is counted separately, when the column
 // command commits.
-func (c *Controller) openRowFor(chIdx, bankIdx int, ch *channelState, b *bankState, s sched, row int64) {
+func (c *Controller) openRowFor(chIdx, bankIdx int, ch *channelState, b *bankState, s *sched, row int64) {
 	if s.needPre {
 		c.emit(Cmd{Kind: CmdPrecharge, Channel: chIdx, Bank: bankIdx, Row: b.openRow, At: s.pre})
 	}
@@ -430,16 +457,16 @@ func (c *Controller) openRowFor(chIdx, bankIdx int, ch *channelState, b *bankSta
 	c.emit(Cmd{Kind: CmdActivate, Channel: chIdx, Bank: bankIdx, Row: row, At: s.act})
 }
 
-// plan computes the earliest command sequence for a request on its
-// bank, honoring bank-state timing, the channel activate window
-// (tRRD, and tFAW only once four activates exist), row state, and the
-// data bus: the column command is timed so its data lands in a free
-// bus slot (plus the read<->write turnaround when the transfer
+// plan writes into s the earliest command sequence for a request on
+// its bank, honoring bank-state timing, the channel activate window
+// actMin (tRRD, and tFAW only once four activates exist), row state,
+// and the data bus: the column command is timed so its data lands in a
+// free bus slot (plus the read<->write turnaround when the transfer
 // direction flips), which also paces row-hit streams at bus rate so a
 // due refresh can interpose.
-func (c *Controller) plan(ch *channelState, bankIdx int, req *Request, now sim.Cycle) sched {
+func (c *Controller) plan(ch *channelState, bankIdx int, req *Request, now, actMin sim.Cycle, s *sched) {
 	b := &ch.banks[bankIdx]
-	s := sched{req: req, bank: bankIdx, write: req.Write}
+	*s = sched{req: req, bank: bankIdx, write: req.Write}
 	// Earliest CAS whose data slot clears the bus. tWTR spaces the
 	// read *command* from the end of write data (JEDEC semantics);
 	// tRTW is the bus gap before write data follows read data.
@@ -462,18 +489,17 @@ func (c *Controller) plan(ch *channelState, bankIdx int, req *Request, now sim.C
 		s.start = s.cas
 	case b.openRow < 0:
 		s.needAct = true
-		s.act = max(max(now, b.actReadyAt), c.actWindowMin(ch))
+		s.act = max(max(now, b.actReadyAt), actMin)
 		s.cas = max(s.act+c.t.rcd, casMin)
 		s.start = s.act
 	default:
 		s.needPre = true
 		s.needAct = true
 		s.pre = max(now, b.preReadyAt)
-		s.act = max(max(s.pre+c.t.rp, b.actReadyAt), c.actWindowMin(ch))
+		s.act = max(max(s.pre+c.t.rp, b.actReadyAt), actMin)
 		s.cas = max(s.act+c.t.rcd, casMin)
 		s.start = s.pre
 	}
-	return s
 }
 
 // actWindowMin returns the earliest cycle the channel may issue its
@@ -495,15 +521,21 @@ func (c *Controller) actWindowMin(ch *channelState) sim.Cycle {
 
 // commit dequeues the request and executes its command sequence:
 // stats, bank and bus state updates, trace events, and completion.
-func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
+func (c *Controller) commit(chIdx int, ch *channelState, s *sched) {
 	req := s.req
 	b := &ch.banks[s.bank]
 	if s.write {
 		b.wq = removeReq(b.wq, req)
 		ch.nWrites--
+		if len(b.wq) == 0 {
+			ch.wqBanks &^= 1 << s.bank
+		}
 	} else {
 		b.rq = removeReq(b.rq, req)
 		ch.nReads--
+		if len(b.rq) == 0 {
+			ch.rqBanks &^= 1 << s.bank
+		}
 	}
 
 	switch {
@@ -538,7 +570,7 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 		bursts = 1
 	}
 	dataStart := s.cas + c.t.cas
-	dataEnd := dataStart + sim.Cycle(uint64(bursts)*c.cfg.BurstCPUCycles(64))
+	dataEnd := dataStart + sim.Cycle(bursts)*c.t.burst
 	ch.busFreeAt = dataEnd
 	ch.busWrite = req.Write
 	ch.busUsed = true
@@ -554,7 +586,7 @@ func (c *Controller) commit(chIdx int, ch *channelState, s sched) {
 		// final burst slot before dataEnd), so the row stays open until
 		// the payload has streamed — a precharge or refresh must not
 		// close it mid-transfer.
-		lastCas := dataEnd - sim.Cycle(c.cfg.BurstCPUCycles(64)) - c.t.cas
+		lastCas := dataEnd - c.t.burst - c.t.cas
 		b.preReadyAt = max(b.preReadyAt, lastCas+c.t.rtp)
 		c.emit(Cmd{Kind: CmdRead, Channel: chIdx, Bank: s.bank, Row: req.loc.Row, At: s.cas})
 		c.ReadLatency.Add(int64(dataEnd - req.arrived))

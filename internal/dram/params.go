@@ -130,6 +130,11 @@ func (c Config) Validate() error {
 	if c.Channels <= 0 || c.BanksPerChan <= 0 {
 		return fmt.Errorf("dram %s: need positive channels/banks, got %d/%d", c.Name, c.Channels, c.BanksPerChan)
 	}
+	if c.BanksPerChan > 64 {
+		// The controller tracks the banks with queued work in a
+		// 64-bit mask per channel.
+		return fmt.Errorf("dram %s: at most 64 banks per channel, got %d", c.Name, c.BanksPerChan)
+	}
 	if c.RowBytes <= 0 || c.RowBytes&(c.RowBytes-1) != 0 {
 		return fmt.Errorf("dram %s: row size %d must be a power of two", c.Name, c.RowBytes)
 	}

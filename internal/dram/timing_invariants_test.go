@@ -453,3 +453,43 @@ func TestInvariantAccessClassCountedOncePerRequest(t *testing.T) {
 		t.Fatalf("access classes counted %d times for %d requests: %+v", got, n, c.Stats)
 	}
 }
+
+// TestInvariantPrepAheadReplansActivateWindow sets up one arbitration
+// in which two losing banks could both activate at once: a row hit
+// waits for the bus behind a 2KB transfer while two other banks hold
+// row misses whose tRRD wait has just expired. Prep-ahead opens the
+// first bank's row under the wait; the second must then be planned
+// again against the moved activate window, so its ACT lands at least
+// tRRD later rather than in the same cycle.
+func TestInvariantPrepAheadReplansActivateWindow(t *testing.T) {
+	cfg := OffChipDDR3_1600() // one channel, 8 banks
+	cfg.Timing.TREFI = 0      // no refresh in the window
+	rrd := sim.Cycle(cfg.cpuCycles(cfg.Timing.TRRD))
+	wakeAt := 2 * rrd
+	var eng *sim.Engine
+	cmds, _ := traceRun(t, cfg, func(c *Controller) {
+		for i, a := range []memtrace.Addr{0, 2048, 2 * 2048} {
+			if b := cfg.Decode(a).Bank; b != i {
+				t.Fatalf("test geometry wrong: %#x decodes to bank %d", a, b)
+			}
+		}
+		eng = c.eng
+		c.Submit(&Request{Addr: 0, Bytes: 2048})  // bank 0: ACT at 0, holds the bus
+		c.Submit(&Request{Addr: 64, Bytes: 64})   // bank 0 row hit, waits for the bus
+		c.Submit(&Request{Addr: 2048, Bytes: 64}) // bank 1, blocked by tRRD
+		c.Submit(&Request{Addr: 4096, Bytes: 64}) // bank 2, blocked by tRRD
+		eng.Schedule(wakeAt, func() { c.Submit(&Request{Addr: 128, Bytes: 64}) })
+	})
+	acts := actsByChannel(cmds)[0]
+	if len(acts) != 3 {
+		t.Fatalf("expected 3 ACTs, got %v", acts)
+	}
+	if acts[1] != wakeAt {
+		t.Fatalf("bank 1 activated at %d, want %d (prepped under the bus wait)", acts[1], wakeAt)
+	}
+	for i := 1; i < len(acts); i++ {
+		if acts[i]-acts[i-1] < rrd {
+			t.Fatalf("ACTs %v: %d and %d closer than tRRD %d", acts, acts[i-1], acts[i], rrd)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -233,6 +234,28 @@ func TestSteadyStateSchedulingDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestOverflowSchedulingDoesNotAllocate is the overflow-tier twin of
+// TestSteadyStateSchedulingDoesNotAllocate: events due beyond the
+// wheel go through the heap, whose backing array is reused.
+func TestOverflowSchedulingDoesNotAllocate(t *testing.T) {
+	var e Engine
+	for i := 0; i < 64; i++ {
+		e.Schedule(Cycle(10*wheelSize+i), func() {})
+	}
+	e.Run(nil)
+	fn := func() {}
+	avg := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+10*wheelSize, fn)
+		e.Step()
+	})
+	if avg != 0 {
+		t.Fatalf("overflow schedule+step allocates %.2f allocs/op in steady state, want 0", avg)
+	}
+	if len(e.over) != 0 || e.nWheel != 0 {
+		t.Fatalf("queue not drained: %d overflow, %d wheel", len(e.over), e.nWheel)
+	}
+}
+
 // Property: for any schedule of random events, execution times are
 // non-decreasing and every non-cancelled event runs exactly once.
 func TestPropertyEventOrdering(t *testing.T) {
@@ -310,5 +333,128 @@ func TestPropertyExactTieOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkOrder drives an Engine through a script of schedules (at
+// deltas chosen to hit both tiers and the wheel's edges), schedules
+// from inside events, cancellations and RunUntil jumps, all drawn from
+// draw(n), which returns a value in [0, n). It reports an error unless
+// every live event fired exactly once, at its time, in the order a
+// stable sort by time over insertion order gives.
+func checkOrder(draw func(n int) int) error {
+	var e Engine
+	type rec struct {
+		at, firedAt Cycle
+		id          int
+		tk          Ticket
+		cancelled   bool
+	}
+	var sched []*rec
+	var got []int
+	delta := func() Cycle {
+		switch draw(9) {
+		case 0:
+			return 0
+		case 1:
+			return wheelSize - 1
+		case 2:
+			return wheelSize
+		case 3:
+			return wheelSize + 1
+		case 4:
+			return 10 * wheelSize
+		case 5:
+			return Cycle(draw(3 * wheelSize))
+		default:
+			return Cycle(draw(20))
+		}
+	}
+	var add func(at Cycle)
+	add = func(at Cycle) {
+		x := &rec{at: max(at, e.Now()), id: len(sched)}
+		sched = append(sched, x)
+		x.tk = e.Schedule(at, func() {
+			got = append(got, x.id)
+			x.firedAt = e.Now()
+			if len(sched) < 400 && draw(2) == 0 {
+				add(e.Now() + delta())
+			}
+		})
+	}
+	cancel := func() {
+		if len(sched) > 0 {
+			x := sched[draw(len(sched))]
+			x.cancelled = e.Cancel(x.tk) || x.cancelled
+		}
+	}
+	for i := 0; i < 60; i++ {
+		add(delta())
+	}
+	for round := 0; round < 8; round++ {
+		for i := draw(6); i > 0; i-- {
+			cancel()
+		}
+		// Jump by a delta, sometimes much longer than the wheel, with
+		// events pending in both tiers.
+		e.RunUntil(e.Now() + delta() + Cycle(draw(2))*3*wheelSize)
+		for i := draw(20); i > 0; i-- {
+			add(e.Now() + delta())
+		}
+	}
+	e.Run(nil)
+	if e.Pending() != 0 {
+		return fmt.Errorf("%d events pending after Run", e.Pending())
+	}
+	var want []*rec
+	for _, x := range sched {
+		if !x.cancelled {
+			want = append(want, x)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	if len(got) != len(want) {
+		return fmt.Errorf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i].id {
+			return fmt.Errorf("event %d: fired id %d, want %d (at %d)", i, got[i], want[i].id, want[i].at)
+		}
+		if want[i].firedAt != want[i].at {
+			return fmt.Errorf("event %d fired at %d, want %d", got[i], want[i].firedAt, want[i].at)
+		}
+	}
+	return nil
+}
+
+// Property: exact (time, insertion) order holds across the wheel and
+// the overflow heap: deltas at and around wheelSize and far beyond it,
+// RunUntil jumps longer than the wheel with events pending, and
+// cancellations in both tiers.
+func TestPropertyExactOrderAcrossTiers(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		if err := checkOrder(rng.Intn); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestSameCycleAcrossTiers pins the merge of the two tiers: an event
+// scheduled far ahead (overflow heap) and one scheduled later for the
+// same cycle from within the wheel's span fire in insertion order.
+func TestSameCycleAcrossTiers(t *testing.T) {
+	var e Engine
+	var got []string
+	target := Cycle(3 * wheelSize)
+	e.Schedule(target, func() { got = append(got, "overflow") })
+	e.RunUntil(target - 1)
+	e.Schedule(target, func() { got = append(got, "wheel") })
+	if len(e.over) != 1 || e.nWheel != 1 {
+		t.Fatalf("tiers hold %d overflow, %d wheel events; want 1 and 1", len(e.over), e.nWheel)
+	}
+	e.Run(nil)
+	if len(got) != 2 || got[0] != "overflow" || got[1] != "wheel" {
+		t.Fatalf("order = %v, want [overflow wheel]", got)
 	}
 }
