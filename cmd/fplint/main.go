@@ -7,8 +7,6 @@
 //	fplint -format sarif ./...      # SARIF 2.1.0 on stdout
 //	fplint -sarif out.sarif ./...   # text on stdout, SARIF to a file
 //	fplint -fix ./...               # apply suggested fixes in place
-//	fplint -baseline lint.baseline ./...
-//	fplint -write-baseline lint.baseline ./...
 //	fplint -list
 //
 // — and as a `go vet` plugin:
@@ -121,8 +119,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run")
 	dir := fs.String("C", ".", "directory to resolve package patterns in (the module root)")
 	fix := fs.Bool("fix", false, "apply suggested fixes in place, then report what remains")
-	baselinePath := fs.String("baseline", "", "suppress findings frozen in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "freeze current findings to this baseline file and exit")
 	format := fs.String("format", "text", "stdout format: text or sarif")
 	sarifPath := fs.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
 	strictIgnores := fs.Bool("strict-ignores", true,
@@ -185,31 +181,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		diags = append(diags, lint.StaleIgnores(audit, enabled)...)
 		lint.SortDiagnostics(diags)
-	}
-
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, prog.RootDir, diags); err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "fplint: froze %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		bl, err := lint.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-		kept, suppressed, stale := bl.Filter(prog.RootDir, diags)
-		diags = kept
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "fplint: %d finding(s) suppressed by %s\n", suppressed, *baselinePath)
-		}
-		for _, k := range stale {
-			fmt.Fprintf(stderr, "fplint: stale baseline entry (matches nothing, delete it): %s\n",
-				strings.ReplaceAll(k, "\t", " | "))
-		}
 	}
 
 	if *fix {

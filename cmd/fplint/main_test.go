@@ -147,33 +147,6 @@ func writeTempModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestBaselineRoundTrip freezes a tree's findings with -write-baseline
-// and confirms -baseline then suppresses exactly those findings,
-// turning exit 1 into exit 0.
-func TestBaselineRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go list in -short mode")
-	}
-	dir := writeTempModule(t, map[string]string{
-		"internal/system/clock.go": `package system
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-	})
-	if code, _ := runDriver(t, "-C", dir, "./..."); code != 1 {
-		t.Fatalf("dirty tree exited %d, want 1", code)
-	}
-	bl := filepath.Join(dir, "lint.baseline")
-	if code, _ := runDriver(t, "-C", dir, "-write-baseline", bl, "./..."); code != 0 {
-		t.Fatalf("-write-baseline exited %d, want 0", code)
-	}
-	if code, out := runDriver(t, "-C", dir, "-baseline", bl, "./..."); code != 0 {
-		t.Fatalf("baselined tree exited %d, want 0; stdout:\n%s", code, out)
-	}
-}
-
 // TestFixRewritesInPlace drives -fix end to end: a faulterr finding
 // with a mechanical rewrite is applied to disk and the re-run is
 // clean.

@@ -599,14 +599,8 @@ func runIntervalPoint(w io.Writer, cfg fpcache.Config, mode, traceIn, cacheDir s
 		MaxRefs:    cfg.Refs,
 		Intervals:  intervals, Workers: workers,
 		SampleEvery: sampleK, SampleWarmup: sampleW,
-		Retry: pol,
-	}
-	switch {
-	case cfg.AdaptiveResize:
-		ac := cfg.AdaptiveConfig()
-		opt.Adaptive = &ac
-	case cfg.ResizePeriodRefs > 0 && len(cfg.ResizeFractions) > 0:
-		opt.Plan = &system.ResizePlan{PeriodRefs: cfg.ResizePeriodRefs, Fractions: cfg.ResizeFractions}
+		Retry:  pol,
+		Policy: cfg.ResizePolicy,
 	}
 	if cacheDir != "" {
 		cache, err := system.NewWarmCache(cacheDir)

@@ -225,42 +225,68 @@ func TestSkipPastEnd(t *testing.T) {
 // functional report block of an interval-parallel run is byte-identical
 // to the serial replay's, with the plan summary appended after it, and
 // a second run against the populated checkpoint cache restores
-// boundaries while printing the same report.
+// boundaries while printing the same report. The partitioned cases
+// cover fpsim's resize-policy wiring (-resize schedule, -adaptive) into
+// the interval runner.
 func TestIntervalPointMatchesSerial(t *testing.T) {
-	cfg := testConfig()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.v2")
-	writeV2Trace(t, cfg, path, cfg.WarmupRefs+cfg.Refs, 512)
+	writeV2Trace(t, testConfig(), path, testConfig().WarmupRefs+testConfig().Refs, 512)
 
-	serial, err := runFunctionalPoint(cfg, path, "", 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		tweak   func(*fpcache.Config)
+		resizes bool
+	}{
+		{"footprint", func(*fpcache.Config) {}, false},
+		{"resize", func(c *fpcache.Config) {
+			c.Design = "footprint+memcache:50"
+			c.ResizeFractions, c.ResizePeriodRefs = []float64{0.25, 0.75}, 3_000
+		}, true},
+		{"adaptive", func(c *fpcache.Config) {
+			c.Design = "subblock+memlow:0"
+			c.AdaptiveResize, c.ResizePeriodRefs = true, 1_000
+		}, true},
 	}
-	var want bytes.Buffer
-	printFunctional(&want, cfg, serial)
-
 	pol := sweep.Policy{}
-	run := func() string {
-		var out bytes.Buffer
-		if err := runIntervalPoint(&out, cfg, "functional", path, filepath.Join(dir, "ckpt"), 4, 0, 0, 4, pol); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
-	}
-	cold, warm := run(), run()
-	for name, got := range map[string]string{"cold": cold, "warm": warm} {
-		if !strings.HasPrefix(got, want.String()) {
-			t.Fatalf("%s interval report does not start with the serial block:\nserial:\n%s\ngot:\n%s", name, want.String(), got)
-		}
-		rest := strings.TrimPrefix(got, want.String())
-		for _, line := range strings.Split(strings.TrimRight(rest, "\n"), "\n") {
-			if !strings.HasPrefix(line, "interval") {
-				t.Fatalf("%s run emitted a non-interval extra line %q", name, line)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.tweak(&cfg)
+			serial, err := runFunctionalPoint(cfg, path, "", 0, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if !strings.Contains(warm, "restored 4") {
-		t.Fatalf("warm run did not restore every boundary checkpoint:\n%s", warm)
+			if tc.resizes && (serial.Partition == nil || serial.Partition.Resizes == 0) {
+				t.Fatalf("serial reference applied no resizes: %+v", serial.Partition)
+			}
+			var want bytes.Buffer
+			printFunctional(&want, cfg, serial)
+
+			ckpt := filepath.Join(dir, "ckpt-"+tc.name)
+			run := func() string {
+				var out bytes.Buffer
+				if err := runIntervalPoint(&out, cfg, "functional", path, ckpt, 4, 0, 0, 4, pol); err != nil {
+					t.Fatal(err)
+				}
+				return out.String()
+			}
+			cold, warm := run(), run()
+			for name, got := range map[string]string{"cold": cold, "warm": warm} {
+				if !strings.HasPrefix(got, want.String()) {
+					t.Fatalf("%s interval report does not start with the serial block:\nserial:\n%s\ngot:\n%s", name, want.String(), got)
+				}
+				rest := strings.TrimPrefix(got, want.String())
+				for _, line := range strings.Split(strings.TrimRight(rest, "\n"), "\n") {
+					if !strings.HasPrefix(line, "interval") {
+						t.Fatalf("%s run emitted a non-interval extra line %q", name, line)
+					}
+				}
+			}
+			if !strings.Contains(warm, "restored 4") {
+				t.Fatalf("warm run did not restore every boundary checkpoint:\n%s", warm)
+			}
+		})
 	}
 }
 

@@ -36,9 +36,9 @@ func SingletonRows(o Options) ([]SingletonRow, error) {
 	pts := o.grid()
 	miss, err := pmap(o, len(pts)*len(kinds), func(i int) (float64, error) {
 		pt, kind := pts[i/len(kinds)], kinds[i%len(kinds)]
-		res, err := o.buildFunctional(system.DesignSpec{
+		res, err := o.functional(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: pt.capacityMB, Scale: o.Scale,
-		}, pt.workload)
+		}, pt.workload, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -76,9 +76,9 @@ func FetchPolicyRows(o Options) ([]FetchPolicyRow, error) {
 	type meas struct{ miss, bytesPerRef float64 }
 	res, err := pmap(o, len(o.Workloads)*len(kinds), func(i int) (meas, error) {
 		wl, kind := o.Workloads[i/len(kinds)], kinds[i%len(kinds)]
-		r, err := o.buildFunctional(system.DesignSpec{
+		r, err := o.functional(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: 256, Scale: o.Scale,
-		}, wl)
+		}, wl, nil)
 		if err != nil {
 			return meas{}, err
 		}
@@ -124,9 +124,9 @@ func FeedbackRows(o Options) ([]FeedbackRow, error) {
 	type meas struct{ miss, bytesPerRef, cover, over float64 }
 	res, err := pmap(o, len(o.Workloads)*len(kinds), func(i int) (meas, error) {
 		wl, kind := o.Workloads[i/len(kinds)], kinds[i%len(kinds)]
-		r, err := o.buildFunctional(system.DesignSpec{
+		r, err := o.functional(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: 256, Scale: o.Scale,
-		}, wl)
+		}, wl, nil)
 		if err != nil {
 			return meas{}, err
 		}

@@ -126,7 +126,7 @@ func AdaptiveRows(o Options) ([]AdaptiveRow, error) {
 			PaperCapacityMB: adaptiveCapacityMB,
 			Scale:           o.Scale,
 		}
-		res, err := o.buildFunctionalResized(spec, wl, pol)
+		res, err := o.functional(spec, wl, pol)
 		if err != nil {
 			return AdaptiveRow{}, err
 		}

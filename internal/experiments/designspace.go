@@ -68,10 +68,10 @@ func DesignSpaceRows(o Options) ([]DesignSpaceRow, error) {
 	}
 	return pmap(o, len(pts), func(i int) (DesignSpaceRow, error) {
 		pt := pts[i]
-		res, err := o.buildFunctional(system.DesignSpec{
+		res, err := o.functional(system.DesignSpec{
 			Alloc: pt.c.alloc, Mapping: pt.c.mapping, Fill: pt.c.fill,
 			PaperCapacityMB: 256, Scale: o.Scale,
-		}, pt.workload)
+		}, pt.workload, nil)
 		if err != nil {
 			return DesignSpaceRow{}, err
 		}

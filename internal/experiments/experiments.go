@@ -22,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"fpcache/internal/dcache"
 	"fpcache/internal/fault"
 	"fpcache/internal/faultinject"
 	"fpcache/internal/memtrace"
@@ -331,61 +330,10 @@ func (o Options) trace(workload string) (memtrace.Source, synth.Profile, error) 
 	return gen, gen.Profile(), nil
 }
 
-// runFunctional is the common functional-mode step.
-func (o Options) runFunctional(design dcache.Design, workload string) (system.FunctionalResult, error) {
-	src, _, err := o.trace(workload)
-	if err != nil {
-		return system.FunctionalResult{}, err
-	}
-	return system.RunFunctional(design, src, o.WarmupRefs, o.Refs)
-}
-
-// runTiming is the common timing-mode step.
-func (o Options) runTiming(design dcache.Design, workload string) (system.TimingResult, error) {
-	return o.runTimingResized(design, workload, nil)
-}
-
-// runTimingResized is runTiming with a partition resize policy —
-// static schedule (*system.ResizePlan) or adaptive controller.
-func (o Options) runTimingResized(design dcache.Design, workload string, pol system.ResizePolicy) (system.TimingResult, error) {
-	src, prof, err := o.trace(workload)
-	if err != nil {
-		return system.TimingResult{}, err
-	}
-	return system.RunTiming(design, src, system.TimingConfig{
-		Cores:      prof.Cores,
-		MLP:        prof.MLP,
-		WarmupRefs: o.WarmupRefs,
-		MaxRefs:    o.TimingRefs,
-		Resize:     pol,
-	})
-}
-
-// buildFunctional constructs a design and runs one functional point —
-// the body of most sweep jobs. With a state cache configured, the
-// design's warm state is restored (or warmed once and stored) instead
-// of re-simulating the warmup prefix.
-func (o Options) buildFunctional(spec system.DesignSpec, workload string) (system.FunctionalResult, error) {
-	return o.buildFunctionalResized(spec, workload, nil)
-}
-
-// buildFunctionalResized is buildFunctional with a partition resize
-// policy. Warm-state snapshots are taken at the warmup boundary, where
-// a stateful policy (the adaptive controller) is still unprimed, so
-// the cache path installs the policy on the restored state and the
-// measured run is byte-identical to an uninterrupted resized run.
-func (o Options) buildFunctionalResized(spec system.DesignSpec, workload string, pol system.ResizePolicy) (system.FunctionalResult, error) {
-	if o.StateCache == "" || o.WarmupRefs <= 0 {
-		design, err := system.BuildDesign(spec)
-		if err != nil {
-			return system.FunctionalResult{}, err
-		}
-		src, _, err := o.trace(workload)
-		if err != nil {
-			return system.FunctionalResult{}, err
-		}
-		return system.RunFunctionalResized(design, src, o.WarmupRefs, o.Refs, pol)
-	}
+// functional runs one functional point of a design spec from its warm
+// state (warmState) under a partition resize policy (nil for none) —
+// the body of most sweep jobs.
+func (o Options) functional(spec system.DesignSpec, workload string, pol system.ResizePolicy) (system.FunctionalResult, error) {
 	state, src, _, err := o.warmState(spec, workload)
 	if err != nil {
 		return system.FunctionalResult{}, err
@@ -394,34 +342,19 @@ func (o Options) buildFunctionalResized(spec system.DesignSpec, workload string,
 	return state.Measure(src, o.Refs)
 }
 
-// buildTiming constructs a design and runs one timing point.
-func (o Options) buildTiming(spec system.DesignSpec, workload string) (system.TimingResult, error) {
-	return o.buildTimingResized(spec, workload, nil)
-}
-
-// buildTimingResized constructs a design and runs one timing point
-// under a partition resize schedule. Timing runs share the functional
-// warm-state cache: the design state after warmup is identical in both
-// modes (RunTiming's warmup is the same Access sequence), so one
-// snapshot per point serves every experiment that sweeps it.
-func (o Options) buildTimingResized(spec system.DesignSpec, workload string, pol system.ResizePolicy) (system.TimingResult, error) {
-	if o.StateCache == "" || o.WarmupRefs <= 0 {
-		design, err := system.BuildDesign(spec)
-		if err != nil {
-			return system.TimingResult{}, err
-		}
-		return o.runTimingResized(design, workload, pol)
-	}
+// timing runs one timing point of a design spec from the same warm
+// state a functional point measures from.
+func (o Options) timing(spec system.DesignSpec, workload string, pol system.ResizePolicy) (system.TimingResult, error) {
 	state, src, prof, err := o.warmState(spec, workload)
 	if err != nil {
 		return system.TimingResult{}, err
 	}
-	return system.RunTiming(state.Design(), src, system.TimingConfig{
+	state.SetPolicy(pol)
+	return state.MeasureTiming(src, system.TimingConfig{
 		Cores:   prof.Cores,
 		MLP:     prof.MLP,
 		MaxRefs: o.TimingRefs,
-		Resize:  pol,
-	})
+	}, 0)
 }
 
 // warmCache opens the configured state cache with the options' cap
@@ -443,10 +376,14 @@ func (o Options) warmCache() (*system.WarmCache, error) {
 	return cache, nil
 }
 
-// warmState builds the point's warm simulation state — restored from
-// the state cache when a snapshot exists, warmed from the trace (and
-// stored) otherwise — returning the trace source positioned at the
-// first measured reference.
+// warmState builds the point's warm simulation state and returns it
+// with the trace source positioned at the first measured reference.
+// Without a state cache it warms cold. With one, it restores the
+// point's snapshot when one exists and otherwise warms and stores it;
+// warm-state snapshots are taken at the warmup boundary, where a
+// stateful policy (the adaptive controller) is still unprimed, so
+// callers install their policy on the returned state and measure
+// byte-identically to an uninterrupted run.
 //
 // The cache can only accelerate the point, never poison it: a corrupt
 // or identity-mismatched entry is quarantined by the cache, recorded
@@ -459,10 +396,12 @@ func (o Options) warmState(spec system.DesignSpec, workload string) (*system.Sim
 	if err != nil {
 		return nil, nil, synth.Profile{}, err
 	}
-	cache, err := o.warmCache()
+	design, err := system.BuildDesign(spec)
 	if err != nil {
 		return nil, nil, synth.Profile{}, err
 	}
+	state := system.NewSimState(design)
+	var cache *system.WarmCache
 	key := system.WarmKey{
 		Workload:   workload,
 		Seed:       o.Seed,
@@ -470,47 +409,48 @@ func (o Options) warmState(spec system.DesignSpec, workload string) (*system.Sim
 		WarmupRefs: o.WarmupRefs,
 		Spec:       spec,
 	}
-	design, err := system.BuildDesign(spec)
-	if err != nil {
-		return nil, nil, synth.Profile{}, err
-	}
-	state := system.NewSimState(design)
-	hit, quarantined, err := cache.Load(key, state)
-	if err != nil {
-		return nil, nil, synth.Profile{}, err
-	}
-	if quarantined != nil {
-		class := fault.ClassOf(quarantined.Err)
-		if class == fault.ClassUnknown {
-			class = fault.ClassCorruptSnapshot
+	if o.StateCache != "" && o.WarmupRefs > 0 {
+		if cache, err = o.warmCache(); err != nil {
+			return nil, nil, synth.Profile{}, err
 		}
-		// The content-hash prefix disambiguates points that share a
-		// (workload, kind, capacity) label but differ in other spec
-		// fields, keeping the sorted report deterministic.
-		o.rec.add(Failure{
-			Point:       fmt.Sprintf("%s/%s/%dMB/%.12s", workload, spec.Kind, spec.PaperCapacityMB, quarantined.Key),
-			Class:       class,
-			Attempts:    1,
-			Disposition: DispositionQuarantined,
-			Error:       quarantined.Err.Error(),
-		})
-		// The failed restore may have partially mutated the state;
-		// rebuild it fresh before the cold warmup.
-		design, err = system.BuildDesign(spec)
+		hit, quarantined, err := cache.Load(key, state)
 		if err != nil {
 			return nil, nil, synth.Profile{}, err
 		}
-		state = system.NewSimState(design)
-	}
-	if hit {
-		memtrace.Skip(src, o.WarmupRefs)
-		return state, src, prof, nil
+		if hit {
+			memtrace.Skip(src, o.WarmupRefs)
+			return state, src, prof, nil
+		}
+		if quarantined != nil {
+			class := fault.ClassOf(quarantined.Err)
+			if class == fault.ClassUnknown {
+				class = fault.ClassCorruptSnapshot
+			}
+			// The content-hash prefix disambiguates points that share a
+			// (workload, kind, capacity) label but differ in other spec
+			// fields, keeping the sorted report deterministic.
+			o.rec.add(Failure{
+				Point:       fmt.Sprintf("%s/%s/%dMB/%.12s", workload, spec.Kind, spec.PaperCapacityMB, quarantined.Key),
+				Class:       class,
+				Attempts:    1,
+				Disposition: DispositionQuarantined,
+				Error:       quarantined.Err.Error(),
+			})
+			// The failed restore may have partially mutated the state;
+			// rebuild it fresh before the cold warmup.
+			if design, err = system.BuildDesign(spec); err != nil {
+				return nil, nil, synth.Profile{}, err
+			}
+			state = system.NewSimState(design)
+		}
 	}
 	if err := state.Warm(src, o.WarmupRefs); err != nil {
 		return nil, nil, synth.Profile{}, err
 	}
-	if err := cache.Store(key, state); err != nil {
-		return nil, nil, synth.Profile{}, err
+	if cache != nil {
+		if err := cache.Store(key, state); err != nil {
+			return nil, nil, synth.Profile{}, err
+		}
 	}
 	return state, src, prof, nil
 }

@@ -62,7 +62,7 @@ func Figure1Rows(o Options) ([]Figure1Row, error) {
 	ipcs, err := pmap(o, variants*len(o.Workloads), func(i int) (float64, error) {
 		wl, variant := o.Workloads[i/variants], i%variants
 		if variant == 0 {
-			res, err := o.runTiming(dcache.NewBaseline(), wl)
+			res, err := o.timing(system.DesignSpec{Kind: system.KindBaseline}, wl, nil)
 			if err != nil {
 				return 0, err
 			}

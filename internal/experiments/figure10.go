@@ -29,9 +29,9 @@ func energyRows(o Options) ([]EnergyRow, error) {
 	slots, err := pmap(o, len(o.Workloads)*len(kinds), func(i int) (slot, error) {
 		wl := o.Workloads[i/len(kinds)]
 		kind := kinds[i%len(kinds)]
-		res, err := o.buildTiming(system.DesignSpec{
+		res, err := o.timing(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: 256, Scale: o.Scale,
-		}, wl)
+		}, wl, nil)
 		if err != nil {
 			return slot{}, err
 		}

@@ -43,7 +43,11 @@ func Figure4Rows(o Options) ([]Figure4Row, error) {
 				h.Add(int64(demanded))
 			}
 		}
-		if _, err := o.runFunctional(design, wl); err != nil {
+		src, _, err := o.trace(wl)
+		if err != nil {
+			return Figure4Row{}, err
+		}
+		if _, err := system.RunFunctional(design, src, o.WarmupRefs, o.Refs); err != nil {
 			return Figure4Row{}, err
 		}
 		row := Figure4Row{Workload: wl, CapacityMB: mb, Pages: h.Total()}

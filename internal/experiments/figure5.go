@@ -26,7 +26,7 @@ type Figure5Row struct {
 func Figure5Rows(o Options) ([]Figure5Row, error) {
 	o = o.withDefaults()
 	baseBW, err := pmap(o, len(o.Workloads), func(i int) (float64, error) {
-		base, err := o.buildFunctional(system.DesignSpec{Kind: system.KindBaseline}, o.Workloads[i])
+		base, err := o.functional(system.DesignSpec{Kind: system.KindBaseline}, o.Workloads[i], nil)
 		if err != nil {
 			return 0, err
 		}
@@ -41,9 +41,9 @@ func Figure5Rows(o Options) ([]Figure5Row, error) {
 	type meas struct{ miss, bytesPerRef float64 }
 	res, err := pmap(o, len(pts)*len(kinds), func(i int) (meas, error) {
 		pt, kind := pts[i/len(kinds)], kinds[i%len(kinds)]
-		r, err := o.buildFunctional(system.DesignSpec{
+		r, err := o.functional(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: pt.capacityMB, Scale: o.Scale,
-		}, pt.workload)
+		}, pt.workload, nil)
 		if err != nil {
 			return meas{}, err
 		}

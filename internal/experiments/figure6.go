@@ -29,7 +29,7 @@ func perfRows(o Options, workloads []string) ([]PerfRow, error) {
 		if i%2 == 1 {
 			kind = system.KindIdeal // capacity-independent; once per workload
 		}
-		res, err := o.buildTiming(system.DesignSpec{Kind: kind}, wl)
+		res, err := o.timing(system.DesignSpec{Kind: kind}, wl, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -45,9 +45,9 @@ func perfRows(o Options, workloads []string) ([]PerfRow, error) {
 		wl := workloads[i/nPer]
 		mb := o.Capacities[i%nPer/len(kinds)]
 		kind := kinds[i%len(kinds)]
-		res, err := o.buildTiming(system.DesignSpec{
+		res, err := o.timing(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: mb, Scale: o.Scale,
-		}, wl)
+		}, wl, nil)
 		if err != nil {
 			return 0, err
 		}

@@ -30,10 +30,10 @@ func Figure8Rows(o Options) ([]Figure8Row, error) {
 	return pmap(o, len(o.Workloads)*len(pageSizes), func(i int) (Figure8Row, error) {
 		wl := o.Workloads[i/len(pageSizes)]
 		pageBytes := pageSizes[i%len(pageSizes)]
-		res, err := o.buildFunctional(system.DesignSpec{
+		res, err := o.functional(system.DesignSpec{
 			Kind: system.KindFootprint, PaperCapacityMB: 256, Scale: o.Scale,
 			PageBytes: pageBytes,
-		}, wl)
+		}, wl, nil)
 		if err != nil {
 			return Figure8Row{}, err
 		}

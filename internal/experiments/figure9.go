@@ -24,10 +24,10 @@ func Figure9Rows(o Options) ([]Figure9Row, error) {
 	ratios, err := pmap(o, len(o.Workloads)*len(FHTSizes), func(i int) (float64, error) {
 		wl := o.Workloads[i/len(FHTSizes)]
 		entries := FHTSizes[i%len(FHTSizes)]
-		res, err := o.buildFunctional(system.DesignSpec{
+		res, err := o.functional(system.DesignSpec{
 			Kind: system.KindFootprint, PaperCapacityMB: 256, Scale: o.Scale,
 			FHTEntries: entries,
-		}, wl)
+		}, wl, nil)
 		if err != nil {
 			return 0, err
 		}

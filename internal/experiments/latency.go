@@ -39,9 +39,9 @@ func LatencyRows(o Options) ([]LatencyRow, error) {
 		wl := o.Workloads[i/nPer]
 		mb := o.Capacities[i%nPer/len(latencyDesigns)]
 		kind := latencyDesigns[i%len(latencyDesigns)]
-		res, err := o.buildTiming(system.DesignSpec{
+		res, err := o.timing(system.DesignSpec{
 			Kind: kind, PaperCapacityMB: mb, Scale: o.Scale,
-		}, wl)
+		}, wl, nil)
 		if err != nil {
 			return LatencyRow{}, err
 		}

@@ -86,7 +86,7 @@ func PartitionRows(o Options) ([]PartitionRow, error) {
 			PaperCapacityMB: partitionCapacityMB,
 			Scale:           o.Scale,
 		}
-		res, err := o.buildTimingResized(spec, wl, plan)
+		res, err := o.timing(spec, wl, plan)
 		if err != nil {
 			return PartitionRow{}, err
 		}

@@ -193,8 +193,8 @@ func TestPointFaultMatrix(t *testing.T) {
 }
 
 // figure9Options configures the warm-state-cache experiment (figure9
-// sweeps 7 FHT sizes through buildFunctional, which is the cached
-// path).
+// sweeps 7 FHT sizes through the experiments' warm-state path, which
+// restores from the cache when one is set).
 func figure9Options(workers int, dir string) experiments.Options {
 	o := matrixOptions(workers)
 	o.Capacities = []int{64} // unused by figure9 (fixed 256MB) but keeps grids small

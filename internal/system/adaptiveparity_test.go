@@ -175,7 +175,8 @@ func TestAdaptiveIntervalParity(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.NumCPU()} {
 		rep, err := RunIntervals(tr, IntervalOptions{
 			Spec: spec, Workload: synth.WebSearch, Seed: 11, Scale: scale,
-			WarmupRefs: warmup, Intervals: 5, Workers: workers, Adaptive: &cfg,
+			WarmupRefs: warmup, Intervals: 5, Workers: workers,
+			Policy: func() ResizePolicy { return NewAdaptivePolicy(cfg) },
 		})
 		if err != nil {
 			t.Fatalf("j%d: %v", workers, err)

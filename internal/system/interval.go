@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fpcache/internal/control"
 	"fpcache/internal/core"
 	"fpcache/internal/dcache"
 	"fpcache/internal/memtrace"
@@ -76,16 +75,13 @@ type IntervalOptions struct {
 	Intervals int
 	// Workers bounds the worker pool (< 1 selects GOMAXPROCS).
 	Workers int
-	// Plan schedules static partition resizes, exactly as a serial
-	// run.
-	Plan *ResizePlan
-	// Adaptive, when non-nil, installs the adaptive partition
-	// controller instead of Plan (it wins when both are set). The
-	// config is a value, not a shared controller: every state the run
-	// builds gets its own controller, whose decision state chains
-	// through boundary checkpoints exactly like design state — a
-	// shared instance would race across interval workers.
-	Adaptive *control.Config
+	// Policy, when non-nil, builds the partition resize policy (a
+	// static *ResizePlan or an AdaptivePolicy) that runs exactly as in
+	// a serial run. It is a factory, not a shared policy: every state
+	// the run builds gets a fresh instance, whose decision state
+	// chains through boundary checkpoints exactly like design state —
+	// a shared stateful instance would race across interval workers.
+	Policy func() ResizePolicy
 	// Cache, when non-nil, stores and restores boundary checkpoints,
 	// keyed by trace content and start record. It is an accelerator:
 	// results are byte-identical with or without it.
@@ -218,29 +214,6 @@ func snapToChunk(starts []uint64, ideal, lo, hi uint64) uint64 {
 	return best
 }
 
-// newPolicy builds a fresh resize policy per the options: the
-// adaptive controller config wins over a static plan. Each call
-// returns an independent instance — interval workers must never share
-// a stateful policy.
-func (opt *IntervalOptions) newPolicy() ResizePolicy {
-	if opt.Adaptive != nil {
-		return NewAdaptivePolicy(*opt.Adaptive)
-	}
-	if opt.Plan.Period() > 0 {
-		return opt.Plan
-	}
-	return nil
-}
-
-// policyLabel renders the options' policy for checkpoint keys without
-// building a controller.
-func (opt *IntervalOptions) policyLabel() string {
-	if opt.Adaptive != nil {
-		return opt.Adaptive.Label()
-	}
-	return policyLabel(opt.Plan)
-}
-
 // key builds the checkpoint identity for a state captured at absolute
 // record `at`. The resize policy changes functional state evolution
 // but has no WarmKey field of its own, so an active policy folds into
@@ -248,8 +221,10 @@ func (opt *IntervalOptions) policyLabel() string {
 // controller versus a schedule) must never share an entry.
 func (opt *IntervalOptions) key(traceID string, at uint64) WarmKey {
 	wl := opt.Workload
-	if lbl := opt.policyLabel(); lbl != "" {
-		wl = fmt.Sprintf("%s|%s", wl, lbl)
+	if opt.Policy != nil {
+		if lbl := policyLabel(opt.Policy()); lbl != "" {
+			wl = fmt.Sprintf("%s|%s", wl, lbl)
+		}
 	}
 	return WarmKey{
 		Workload: wl, Seed: opt.Seed, Scale: opt.Scale, WarmupRefs: opt.WarmupRefs,
@@ -267,7 +242,9 @@ func (opt *IntervalOptions) newState() (*SimState, error) {
 		return nil, err
 	}
 	s := NewSimState(d)
-	s.SetPolicy(opt.newPolicy())
+	if opt.Policy != nil {
+		s.SetPolicy(opt.Policy())
+	}
 	return s, nil
 }
 
@@ -461,6 +438,9 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 		if err != nil {
 			return TimingResult{}, err
 		}
+		// The restored policy instance carries the decision state (the
+		// adaptive controller's window and climb registers) the snapshot
+		// captured at this boundary.
 		if err := s.Restore(bytes.NewReader(snaps[i]), opt.key(traceID, iv.Start).Meta()); err != nil {
 			return TimingResult{}, err
 		}
@@ -468,15 +448,7 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 		if err != nil {
 			return TimingResult{}, err
 		}
-		cfg := *opt.Timing
-		cfg.WarmupRefs = 0
-		cfg.MaxRefs = int(iv.Refs)
-		// The restored state's policy instance: for the adaptive
-		// controller it carries the window and climb registers the
-		// snapshot captured at this boundary.
-		cfg.Resize = s.Policy()
-		cfg.ResizeStartRefs = iv.Start - w
-		return RunTiming(s.Design(), sec, cfg)
+		return opt.measureTiming(s, sec, iv, w)
 	})
 	if err := firstFailure(reports); err != nil {
 		return nil, err
@@ -488,6 +460,15 @@ func runExact(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, ivs
 	rep.Timing = &merged
 	rep.MeasuredFraction = 1
 	return rep, nil
+}
+
+// measureTiming times interval iv, read from sec, from s — the state
+// at iv.Start; w is the warmup boundary, so the resize schedule
+// continues at the serial run's absolute epochs.
+func (opt *IntervalOptions) measureTiming(s *SimState, sec memtrace.Source, iv Interval, w uint64) (TimingResult, error) {
+	cfg := *opt.Timing
+	cfg.MaxRefs = int(iv.Refs)
+	return s.MeasureTiming(sec, cfg, iv.Start-w)
 }
 
 // runSampled measures every k-th interval after a bounded cold
@@ -541,12 +522,7 @@ func runSampled(tr *memtrace.FileReader, opt *IntervalOptions, traceID string, i
 			return sampleOut{}, err
 		}
 		if timing {
-			cfg := *opt.Timing
-			cfg.WarmupRefs = 0
-			cfg.MaxRefs = int(iv.Refs)
-			cfg.Resize = s.Policy()
-			cfg.ResizeStartRefs = iv.Start - w
-			tm, err := RunTiming(s.Design(), sec, cfg)
+			tm, err := opt.measureTiming(s, sec, iv, w)
 			return sampleOut{tm: tm}, err
 		}
 		fn, err := s.MeasureFrom(sec, int(iv.Refs), iv.Start-w)

@@ -142,7 +142,8 @@ func TestIntervalResizeParity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rep, err := RunIntervals(tr, IntervalOptions{
 			Spec: spec, Workload: synth.MapReduce, Seed: 11, Scale: scale,
-			WarmupRefs: warmup, Intervals: 5, Workers: workers, Plan: plan,
+			WarmupRefs: warmup, Intervals: 5, Workers: workers,
+			Policy: func() ResizePolicy { return plan },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -208,6 +209,68 @@ func TestIntervalTimingParity(t *testing.T) {
 	if baseline.Timing.OffChip.ReadBursts != fn.OffChip.ReadBursts ||
 		baseline.Timing.OffChip.WriteBursts != fn.OffChip.WriteBursts {
 		t.Fatalf("interval timing off-chip traffic diverges from serial functional run")
+	}
+}
+
+// TestIntervalTimingResizeParity extends timing-mode parity to
+// resizing designs: every interval's timed measurement resumes the
+// resize schedule at its absolute measured offset, so the merged
+// counters, off-chip bursts, resize count and memory-region hits equal
+// the serial functional run's — under a static plan and under the
+// adaptive controller, at one worker and at four.
+func TestIntervalTimingResizeParity(t *testing.T) {
+	const (
+		refs   = 12_000
+		warmup = 2_000
+	)
+	cases := []struct {
+		name     string
+		spec     DesignSpec
+		workload string
+		policy   func() ResizePolicy
+	}{
+		{"plan", DesignSpec{Kind: "footprint+memcache:50", PaperCapacityMB: 64, Scale: 1.0 / 16}, synth.MapReduce,
+			func() ResizePolicy { return &ResizePlan{PeriodRefs: 1_500, Fractions: []float64{0.25, 0.75, 0.5}} }},
+		{"adaptive", adaptiveTestSpec(1.0 / 64), synth.WebSearch,
+			func() ResizePolicy { return NewAdaptivePolicy(adaptiveTestConfig()) }},
+	}
+	for _, tc := range cases {
+		d, err := BuildDesign(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serialSrc := intervalTrace(t, tc.workload, 11, tc.spec.Scale, refs, 256)
+		serial := mustFunctional(RunFunctionalResized(d, serialSrc, warmup, 0, tc.policy()))
+		if serial.Partition == nil || serial.Partition.Resizes == 0 {
+			t.Fatalf("%s: serial reference applied no resizes: %+v", tc.name, serial.Partition)
+		}
+		tr := intervalTrace(t, tc.workload, 11, tc.spec.Scale, refs, 256)
+		for _, workers := range []int{1, 4} {
+			rep, err := RunIntervals(tr, IntervalOptions{
+				Spec: tc.spec, Workload: tc.workload, Seed: 11, Scale: tc.spec.Scale,
+				WarmupRefs: warmup, Intervals: 5, Workers: workers, Policy: tc.policy,
+				Timing: &TimingConfig{Cores: 8, MLP: 2},
+			})
+			if err != nil {
+				t.Fatalf("%s j%d: %v", tc.name, workers, err)
+			}
+			got := rep.Timing
+			if got == nil || got.Partition == nil {
+				t.Fatalf("%s j%d: no timing partition result", tc.name, workers)
+			}
+			if testutil.AsJSON(t, got.Counters) != testutil.AsJSON(t, serial.Counters) {
+				t.Fatalf("%s j%d: counters diverge from serial functional run\nfunctional: %s\ntiming:     %s",
+					tc.name, workers, testutil.AsJSON(t, serial.Counters), testutil.AsJSON(t, got.Counters))
+			}
+			if got.OffChip.ReadBursts != serial.OffChip.ReadBursts || got.OffChip.WriteBursts != serial.OffChip.WriteBursts {
+				t.Fatalf("%s j%d: off-chip bursts %d/%d, serial %d/%d", tc.name, workers,
+					got.OffChip.ReadBursts, got.OffChip.WriteBursts, serial.OffChip.ReadBursts, serial.OffChip.WriteBursts)
+			}
+			if got.Partition.Resizes != serial.Partition.Resizes || got.Partition.MemHits != serial.Partition.MemHits {
+				t.Fatalf("%s j%d: resizes %d, mem hits %d; serial %d, %d", tc.name, workers,
+					got.Partition.Resizes, got.Partition.MemHits, serial.Partition.Resizes, serial.Partition.MemHits)
+			}
+		}
 	}
 }
 

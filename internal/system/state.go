@@ -16,14 +16,12 @@ import (
 // SimState bundles a design with its functional DRAM row trackers —
 // everything a functional run mutates — so warm state can be built
 // once, snapshotted, and restored, mirroring the paper's warmed
-// checkpoints (§5.4). RunFunctional is a thin wrapper over
-// NewSimState + Warm + Measure, so a restored state continues
-// byte-identically to an uninterrupted run by construction.
-//
-// A timing run shares the same warm state: RunTiming's functional
-// warmup performs exactly the Access sequence Warm does (the trackers
-// Warm additionally touches are not consulted by the timing
-// simulator), so one snapshot serves both simulation modes.
+// checkpoints (§5.4). It is the only run loop: RunFunctional is
+// NewSimState + Warm + Measure and RunTiming is NewSimState + Warm +
+// MeasureTiming, so a restored state continues byte-identically to an
+// uninterrupted run, and one warm state (and one snapshot of it)
+// serves both simulation modes, by construction. Both measurements
+// drive the resize policy through the same epoch driver (epochs).
 type SimState struct {
 	design dcache.Design
 	offT   *dram.Tracker
@@ -76,33 +74,74 @@ func (s *SimState) Design() dcache.Design { return s.design }
 // (PolicyState) are part of the warm state.
 func (s *SimState) SetPolicy(pol ResizePolicy) { s.pol = pol }
 
-// Policy returns the installed resize policy (nil when none).
-func (s *SimState) Policy() ResizePolicy { return s.pol }
+// epochs is the one resize-epoch driver: both simulation modes count
+// measured references through it, in trace order, so the functional
+// and the timing run of a trace see the same boundaries, the same
+// cumulative telemetry and the same decisions. Every period measured
+// references the installed policy decides; a firing decision's
+// transition ops (writebacks, migrations) are returned for the caller
+// to account (functional trackers) or dispatch (timing controllers).
+// The zero value (no policy, disabled policy, or a design that is not
+// Resizable) only counts.
+type epochs struct {
+	design dcache.Design
+	pol    ResizePolicy
+	rz     Resizable
+	part   func() dcache.PartitionStats
+	period uint64
+	// refs is the absolute measured-reference position: a run resuming
+	// measuredBefore references in (an interval of a longer trace)
+	// hits the same boundaries, and a restored stateful policy
+	// continues from its snapshotted baseline, as the serial run.
+	refs uint64
+	// due is the position of the next boundary; 0 (never reached, as
+	// refs counts from 1) when no policy drives resizes.
+	due uint64
+}
+
+// epochs returns the state's resize driver for a measurement that
+// starts measuredBefore references into the measured phase.
+func (s *SimState) epochs(measuredBefore uint64) epochs {
+	e := epochs{design: s.design, refs: measuredBefore}
+	if rz, ok := s.design.(Resizable); ok && policyPeriod(s.pol) > 0 {
+		e.pol, e.rz, e.period = s.pol, rz, uint64(s.pol.Period())
+		e.part = partitionExtra(s.design)
+		e.due = (measuredBefore/e.period + 1) * e.period
+	}
+	return e
+}
+
+// tick counts one measured reference and reports whether it ends an
+// epoch, in which case the caller asks transition for the resize.
+func (e *epochs) tick() bool {
+	e.refs++
+	return e.refs == e.due
+}
+
+// transition asks the policy at the boundary tick just reported. When
+// it fires, the transition's ops are appended to scratch[:0] and
+// returned, validated; otherwise the result is empty. The caller's
+// previous use of scratch must be finished.
+func (e *epochs) transition(scratch []dcache.Op) ([]dcache.Op, error) {
+	e.due += e.period
+	frac, fire := e.pol.Decide(int(e.refs/e.period-1), telemetryOf(e.design, e.part, e.refs))
+	if !fire {
+		return scratch[:0], nil
+	}
+	ops := e.rz.Resize(frac, scratch[:0])
+	return ops, validateOps(e.design, ops, "resize transition")
+}
 
 // run drives up to n records (n <= 0 drains the source) through the
-// design, applying outcome operations to the trackers; with a non-nil
-// rz, the resize policy decides at measured-reference epoch
-// boundaries. Returns the instruction count, and a typed error
+// design, applying outcome operations to the trackers; a non-nil ep
+// drives the resize policy at measured-reference epoch boundaries.
+// Returns the instruction count, and a typed error
 // (fault.ErrInvalidOps) if the design emitted a structurally invalid
 // op list — the run stops at the offending reference so one bad
 // composition fails one sweep point, never the process.
-// startRefs offsets the epoch schedule: an interval run resuming at
-// measured reference startRefs hits the same absolute boundaries (and
-// a restored stateful policy continues from its snapshotted baseline)
-// as a serial run that is startRefs references in — the
-// interval-parallel runner's determinism depends on it.
-func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, rz Resizable, startRefs uint64) (uint64, error) {
+func (s *SimState) run(src memtrace.Source, n int, ep *epochs) (uint64, error) {
 	var refs, instrs uint64
-	var period uint64
-	var part func() dcache.PartitionStats
-	if rz != nil {
-		period = uint64(policyPeriod(pol))
-		part = partitionExtra(s.design)
-	}
-	for {
-		if n > 0 && refs >= uint64(n) {
-			break
-		}
+	for n <= 0 || refs < uint64(n) {
 		rec, ok := src.Next()
 		if !ok {
 			break
@@ -112,16 +151,15 @@ func (s *SimState) run(src memtrace.Source, n int, pol ResizePolicy, rz Resizabl
 		out := s.design.Access(rec, s.ops)
 		applyOps(out.Ops, s.offT, s.stkT)
 		s.ops = out.Ops
-		if period > 0 && (startRefs+refs)%period == 0 {
-			epoch := int((startRefs+refs)/period - 1)
-			if frac, fire := pol.Decide(epoch, telemetryOf(s.design, part, startRefs+refs)); fire {
-				s.ops = rz.Resize(frac, s.ops[:0])
-				if err := validateOps(s.design, s.ops, "resize transition"); err != nil {
-					return instrs, err
-				}
-				applyOps(s.ops, s.offT, s.stkT)
-			}
+		if ep == nil || !ep.tick() {
+			continue
 		}
+		ops, err := ep.transition(s.ops)
+		s.ops = ops
+		if err != nil {
+			return instrs, err
+		}
+		applyOps(ops, s.offT, s.stkT)
 	}
 	return instrs, nil
 }
@@ -133,7 +171,7 @@ func (s *SimState) Warm(src memtrace.Source, n int) error {
 	if n <= 0 {
 		return nil
 	}
-	_, err := s.run(src, n, nil, nil, 0)
+	_, err := s.run(src, n, nil)
 	return err
 }
 
@@ -155,11 +193,6 @@ func (s *SimState) Measure(src memtrace.Source, maxRefs int) (FunctionalResult, 
 // absolute boundaries — and a restored stateful policy makes the same
 // decisions — as the serial run it is a slice of.
 func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore uint64) (FunctionalResult, error) {
-	pol := s.pol
-	rz, _ := s.design.(Resizable)
-	if policyPeriod(pol) <= 0 || rz == nil {
-		pol, rz = nil, nil
-	}
 	ctr0 := s.design.Counters()
 	off0, stk0 := s.offT.Stats, s.stkT.Stats
 	extra := footprintExtra(s.design)
@@ -174,7 +207,8 @@ func (s *SimState) MeasureFrom(src memtrace.Source, maxRefs int, measuredBefore 
 	}
 
 	res := FunctionalResult{Design: s.design.Name()}
-	instrs, err := s.run(src, maxRefs, pol, rz, measuredBefore)
+	ep := s.epochs(measuredBefore)
+	instrs, err := s.run(src, maxRefs, &ep)
 	res.Instructions = instrs
 	res.Counters = s.design.Counters().Sub(ctr0)
 	res.Refs = res.Counters.Accesses()

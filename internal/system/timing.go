@@ -18,9 +18,10 @@ type TimingConfig struct {
 	// L2Cycles is the L2 hit latency paid by every record before the
 	// DRAM cache tag lookup (Table 3: 13 cycles).
 	L2Cycles int
-	// WarmupRefs records are replayed through the design functionally
-	// before timed simulation starts, mirroring the paper's warmed
-	// checkpoints (§5.4).
+	// WarmupRefs records warm the state (SimState.Warm) before timed
+	// simulation starts, mirroring the paper's warmed checkpoints
+	// (§5.4). RunTiming reads it; SimState.MeasureTiming starts from
+	// the state it is given and ignores it.
 	WarmupRefs int
 	// MaxRefs bounds the timed trace length; 0 takes the default
 	// (250_000, matching experiments.Options.TimingRefs at its
@@ -30,19 +31,15 @@ type TimingConfig struct {
 	// non-nil (used by the Figure 1 opportunity study).
 	OffChip, Stacked *dram.Config
 	// Resize decides run-time partition resizes (a static *ResizePlan
-	// or the adaptive AdaptivePolicy). Driven at demux drain time in
-	// trace order — the same measured-reference epoch boundaries, with
-	// the same cumulative telemetry, RunFunctionalResized uses — so
-	// counters stay byte-identical to a functional run; the
-	// transition's DRAM operations dispatch into the controllers as
-	// background traffic at the cycle the boundary reference is
-	// drained.
+	// or the adaptive AdaptivePolicy); RunTiming installs it on its
+	// state (SimState.SetPolicy), and MeasureTiming drives the state's
+	// policy instead. The state's one epoch driver runs at demux drain
+	// time in trace order — the boundaries, telemetry and decisions of
+	// RunFunctionalResized — so counters stay byte-identical to a
+	// functional run; the transition's DRAM operations dispatch into
+	// the controllers as background traffic at the cycle the boundary
+	// reference is drained.
 	Resize ResizePolicy
-	// ResizeStartRefs offsets the resize schedule: a run resuming at
-	// measured reference N of a longer trace fires resizes at the same
-	// absolute boundaries, with the same fractions, as the serial run
-	// it is a slice of (the interval-parallel runner's contract).
-	ResizeStartRefs uint64
 }
 
 // TimingResult summarizes a timing run.
@@ -185,18 +182,10 @@ type demux struct {
 	// producing records and the run returns the error.
 	err error
 
-	// Partition resize driver: when pol and rz are set, every period
-	// drained references the policy decides from the design's
-	// cumulative telemetry — in trace order, exactly as
-	// RunFunctionalResized — and a firing decision's transition ops
-	// dispatch at once as background traffic.
-	pol     ResizePolicy
-	period  uint64
-	part    func() dcache.PartitionStats
-	rz      Resizable
-	drained uint64
-	// startRefs offsets the resize schedule (TimingConfig.ResizeStartRefs).
-	startRefs uint64
+	// ep is the state's resize-epoch driver, counting drained
+	// references; a firing decision's transition ops dispatch at once
+	// as background traffic.
+	ep epochs
 
 	// scratch is the Access scratch buffer; each outcome is copied out
 	// of it into its core's queue, because timed outcomes outlive the
@@ -248,25 +237,25 @@ func (d *demux) pull(core int) (memtrace.Record, *flight, bool) {
 		if d.queued++; d.queued > d.highWater {
 			d.highWater = d.queued
 		}
-		d.drained++
-		if d.period > 0 && (d.startRefs+d.drained)%d.period == 0 {
-			epoch := int((d.startRefs+d.drained)/d.period - 1)
-			if frac, fire := d.pol.Decide(epoch, telemetryOf(d.design, d.part, d.startRefs+d.drained)); fire {
-				// The boundary reference's Access already copied its ops
-				// out of scratch, so the resize can reuse it.
-				d.scratch = d.rz.Resize(frac, d.scratch[:0])
-				if err := validateOps(d.design, d.scratch, "resize transition"); err != nil {
-					d.err = err
-					d.done = true
-					return memtrace.Record{}, nil, false
-				}
-				// Resize traffic is pure background: nothing gates on
-				// it, and the flight recycles when the last op lands.
-				rz := d.p.acquire(len(d.scratch))
-				copy(rz.ops, d.scratch)
-				rz.read, rz.done = false, noWaiter
-				rz.dispatch()
-			}
+		if !d.ep.tick() {
+			continue
+		}
+		// The reference's ops are already copied out of scratch, so the
+		// resize transition can reuse it.
+		ops, err := d.ep.transition(d.scratch)
+		d.scratch = ops
+		if err != nil {
+			d.err = err
+			d.done = true
+			return memtrace.Record{}, nil, false
+		}
+		if len(ops) > 0 {
+			// Resize traffic is pure background: nothing gates on it,
+			// and the flight recycles when the last op lands.
+			rz := d.p.acquire(len(ops))
+			copy(rz.ops, ops)
+			rz.read, rz.done = false, noWaiter
+			rz.dispatch()
 		}
 	}
 }
@@ -442,18 +431,35 @@ func (p *pipeline) release(fl *flight) {
 // RunTiming executes an event-driven simulation of the pod: cores
 // with bounded MLP issue records through the design into the two DRAM
 // controllers; critical operations gate request completion while
-// fills and evictions consume bandwidth in the background. The
-// design's functional transitions happen in trace order (at demux
-// drain time), so hit/miss counters and traffic are identical to a
-// RunFunctional over the same trace and invariant under controller
-// scheduling changes; timing only decides *when* the resulting DRAM
-// operations happen.
+// fills and evictions consume bandwidth in the background. It is
+// NewSimState, SetPolicy(cfg.Resize), Warm(cfg.WarmupRefs) and
+// MeasureTiming — the functional run's warmup, so one warm state
+// (and one snapshot of it) serves both simulation modes.
+func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (TimingResult, error) {
+	s := NewSimState(design)
+	s.SetPolicy(cfg.Resize)
+	if err := s.Warm(src, cfg.WarmupRefs); err != nil {
+		return TimingResult{Design: design.Name()}, err
+	}
+	return s.MeasureTiming(src, cfg, 0)
+}
+
+// MeasureTiming is the timing twin of MeasureFrom: it times up to
+// cfg.MaxRefs records from the current state, which is already
+// measuredBefore references into its measurement phase, driving the
+// installed resize policy (cfg.WarmupRefs and cfg.Resize are not
+// read). The design's functional transitions happen in trace order
+// (at demux drain time), so hit/miss counters and traffic are
+// identical to a MeasureFrom over the same records and invariant
+// under controller scheduling changes; timing only decides *when* the
+// resulting DRAM operations happen. The functional trackers are not
+// updated: the controllers account the timed traffic instead.
 //
 // The returned error is a typed fault (fault.ErrInvalidOps) when the
 // design emits a malformed operation list; the demux stops producing
 // records, outstanding traffic drains, and the partial result
 // accompanies the error for diagnostics only.
-func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (TimingResult, error) {
+func (s *SimState) MeasureTiming(src memtrace.Source, cfg TimingConfig, measuredBefore uint64) (TimingResult, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 16
 	}
@@ -466,24 +472,13 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 	if cfg.MaxRefs <= 0 {
 		cfg.MaxRefs = 250_000
 	}
+	design := s.design
 	offCfg, stkCfg := DRAMConfigsForDesign(design)
 	if cfg.OffChip != nil {
 		offCfg = *cfg.OffChip
 	}
 	if cfg.Stacked != nil {
 		stkCfg = *cfg.Stacked
-	}
-
-	// Functional warmup: bring tags, MissMap, FHT, and ST to steady
-	// state before the first timed cycle. One scratch buffer serves
-	// every warmup Access.
-	var scratch []dcache.Op
-	for i := 0; i < cfg.WarmupRefs; i++ {
-		rec, ok := src.Next()
-		if !ok {
-			break
-		}
-		scratch = design.Access(rec, scratch).Ops
 	}
 	ctr0 := design.Counters()
 
@@ -500,14 +495,10 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		p:       p,
 		queues:  make([]coreQueue, cfg.Cores),
 		left:    cfg.MaxRefs,
-		scratch: scratch,
+		ep:      s.epochs(measuredBefore),
+		scratch: s.ops,
 	}
 	part := partitionExtra(design)
-	if rz, ok := design.(Resizable); ok && policyPeriod(cfg.Resize) > 0 {
-		dm.pol, dm.period, dm.rz = cfg.Resize, uint64(cfg.Resize.Period()), rz
-		dm.part = part
-		dm.startRefs = cfg.ResizeStartRefs
-	}
 	var pt0 dcache.PartitionStats
 	if part != nil {
 		pt0 = part()
@@ -539,6 +530,7 @@ func RunTiming(design dcache.Design, src memtrace.Source, cfg TimingConfig) (Tim
 		res.Instructions += c.Instructions
 		res.StallCycles += c.StallCycles
 	}
+	s.ops = dm.scratch
 	res.Cycles = uint64(eng.Now())
 	res.QueueHighWater = uint64(dm.highWater)
 	res.Counters = design.Counters().Sub(ctr0)
