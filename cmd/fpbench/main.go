@@ -22,13 +22,14 @@
 // given file instead of rendering text tables — the seed of the
 // BENCH_*.json perf trajectory.
 //
-// The fault-tolerance flags (-max-retries, -point-timeout, -tolerate)
-// switch sweeps to the tolerant executor (DESIGN.md §10): point panics
-// are isolated, retryable faults retry with exponential backoff, and
-// every fault an experiment absorbed lands in its failure report
-// (included per experiment in the -json output). -fault-spec injects
-// scheduled faults (internal/faultinject) to exercise that machinery
-// end to end.
+// Every sweep runs on the tolerant executor (DESIGN.md §10): point
+// panics are isolated, and every fault an experiment absorbed lands in
+// its failure report (included per experiment in the -json output).
+// -max-retries retries retryable faults with exponential backoff,
+// -point-timeout bounds each attempt, and -tolerate keeps an
+// experiment's surviving rows when points fail for good. -fault-spec
+// injects scheduled faults (internal/faultinject) to exercise that
+// machinery end to end.
 //
 // -cpuprofile FILE and -memprofile FILE write pprof profiles of the
 // run (a CPU profile, and a heap profile taken when it ends).
@@ -95,7 +96,6 @@ func main() {
 	}
 	if *retries > 0 {
 		o.MaxAttempts = *retries + 1
-		o.RetryBackoff = 100 * time.Millisecond
 	}
 	if *faultSpec != "" {
 		inj, err := faultinject.Parse(*faultSpec)
@@ -111,7 +111,11 @@ func main() {
 	if *caps != "" {
 		for _, c := range strings.Split(*caps, ",") {
 			var mb int
-			if _, err := fmt.Sscanf(strings.TrimSpace(c), "%d", &mb); err != nil {
+			_, err := fmt.Sscanf(strings.TrimSpace(c), "%d", &mb)
+			if err == nil && mb <= 0 {
+				err = fmt.Errorf("want a positive size in MB")
+			}
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "fpbench: bad capacity %q: %v\n", c, err)
 				os.Exit(2)
 			}

@@ -56,11 +56,11 @@
 //	fpsim -fault-spec 'trace-read:flipbit:offset=64' -trace-in run.trace
 //	fpsim -list
 //
-// The fault-tolerance flags switch the sweep to the tolerant executor
-// (DESIGN.md §10): point panics are isolated, retryable faults retry
-// with exponential backoff, -point-timeout bounds each attempt, and
-// faulted points are reported on stderr (exit status 1 if any failed
-// for good) while surviving points still print. -fault-spec injects
+// Every point runs on the tolerant sweep executor (DESIGN.md §10): a
+// point panic is isolated, and a failed point is named on stderr
+// (exit status 1 if any failed for good) while surviving points still
+// print. -max-retries retries retryable faults with exponential
+// backoff, and -point-timeout bounds each attempt. -fault-spec injects
 // scheduled faults — point failures and trace-read stream corruption —
 // to exercise that machinery.
 //
@@ -79,7 +79,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"fpcache"
 	"fpcache/internal/faultinject"
@@ -217,6 +216,9 @@ func run() {
 	var capacities []int
 	for _, c := range splitList(*capMB) {
 		mb, err := strconv.Atoi(c)
+		if err == nil && mb <= 0 {
+			err = fmt.Errorf("want a positive size in MB")
+		}
 		if err != nil {
 			fail(fmt.Errorf("bad capacity %q: %v", c, err))
 		}
@@ -246,14 +248,10 @@ func run() {
 	if (*checkpt != "" || *restore != "") && len(pts) > 1 {
 		fail(fmt.Errorf("-checkpoint/-restore address one run's warm state; got %d simulation points", len(pts)))
 	}
+	pol := sweep.Policy{MaxAttempts: *retries + 1, Timeout: *timeout, Seed: *seed}
 	if *intervals > 0 {
 		if len(pts) > 1 {
 			fail(fmt.Errorf("-intervals parallelizes one run over its intervals; got %d simulation points (use -j without -intervals to sweep points)", len(pts)))
-		}
-		pol := sweep.Policy{Timeout: *timeout, Seed: *seed}
-		if *retries > 0 {
-			pol.MaxAttempts = *retries + 1
-			pol.Backoff = 100 * time.Millisecond
 		}
 		cfg := fpcache.Config{
 			Workload:         pts[0].workload,
@@ -310,44 +308,29 @@ func run() {
 		return buf.String(), nil
 	}
 
-	var reports []string
+	// Every point runs isolated under the policy: a faulted point is
+	// reported on stderr instead of aborting the whole cross product.
+	wrapped := job
+	if inj.Active() {
+		seq := inj.NextSweep()
+		wrapped = func(i int) (string, error) {
+			if err := inj.Point(seq, i); err != nil {
+				return "", err
+			}
+			return job(i)
+		}
+	}
+	reports, pointReports := sweep.MapTolerant(*workers, len(pts), pol, wrapped)
 	failed := false
-	if inj.Active() || *retries > 0 || *timeout > 0 {
-		// Tolerant sweep: isolate, retry, and report instead of aborting
-		// the whole cross product on the first faulted point.
-		wrapped := job
-		if inj.Active() {
-			seq := inj.NextSweep()
-			wrapped = func(i int) (string, error) {
-				if err := inj.Point(seq, i); err != nil {
-					return "", err
-				}
-				return job(i)
-			}
-		}
-		pol := sweep.Policy{Timeout: *timeout, Seed: *seed}
-		if *retries > 0 {
-			pol.MaxAttempts = *retries + 1
-			pol.Backoff = 100 * time.Millisecond
-		}
-		var pointReports []sweep.PointReport
-		reports, pointReports = sweep.MapTolerant(*workers, len(pts), pol, wrapped)
-		for _, r := range pointReports {
-			p := pts[r.Index]
-			if r.Err != nil {
-				failed = true
-				fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB failed after %d attempt(s) [%s]: %v\n",
-					p.workload, p.design, p.capMB, r.Attempts, r.Class, r.Err)
-			} else {
-				fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB recovered after %d attempts\n",
-					p.workload, p.design, p.capMB, r.Attempts)
-			}
-		}
-	} else {
-		var err error
-		reports, err = sweep.Map(*workers, len(pts), job)
-		if err != nil {
-			fail(err)
+	for _, r := range pointReports {
+		p := pts[r.Index]
+		if r.Err != nil {
+			failed = true
+			fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB failed after %d attempt(s) [%s]: %v\n",
+				p.workload, p.design, p.capMB, r.Attempts, r.Class, r.Err)
+		} else {
+			fmt.Fprintf(os.Stderr, "fpsim: %s/%s/%dMB recovered after %d attempts\n",
+				p.workload, p.design, p.capMB, r.Attempts)
 		}
 	}
 	first := true

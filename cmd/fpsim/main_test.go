@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -290,27 +291,88 @@ func TestIntervalPointMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestProfileFlags runs fpsim with -cpuprofile and -memprofile (the
-// test binary re-executes itself as the command) and checks that both
-// profiles are written as gzipped pprof data.
-func TestProfileFlags(t *testing.T) {
+// TestMain runs the test binary as the fpsim command itself when
+// FPSIM_TEST_ARGS holds a newline-separated argument list, so the CLI
+// tests drive the real flag parsing, output and exit status.
+func TestMain(m *testing.M) {
 	if args := os.Getenv("FPSIM_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"fpsim"}, strings.Split(args, "\n")...)
 		main()
-		return
 	}
+	os.Exit(m.Run())
+}
+
+// fpsim runs the command with args and returns its stdout, stderr and
+// exit status.
+func fpsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "FPSIM_TEST_ARGS="+strings.Join(args, "\n"))
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// TestFailureExitStatus pins how fpsim fails: bad capacities are
+// rejected before the sweep starts, and a faulted point is named on
+// stderr while the surviving points still print, with exit status 1
+// either way.
+func TestFailureExitStatus(t *testing.T) {
+	small := []string{"-workload", fpcache.MapReduce, "-scale", "0.015625", "-refs", "20000", "-warmup", "10000"}
+	pageOnly, stderr, code := fpsim(t, append(small, "-design", "page", "-capacity", "64")...)
+	if code != 0 || pageOnly == "" {
+		t.Fatalf("reference page run: exit %d, stdout %q, stderr %q", code, pageOnly, stderr)
+	}
+	cases := []struct {
+		name   string
+		args   []string
+		stdout string
+		stderr []string
+	}{
+		{"zero capacity", []string{"-design", "footprint", "-capacity", "0"}, "", []string{`bad capacity "0"`}},
+		{"negative capacity", []string{"-design", "footprint", "-capacity", "64,-1"}, "", []string{`bad capacity "-1"`}},
+		{"point panic", []string{"-design", "page,footprint", "-capacity", "64", "-fault-spec", "point:panic:point=1"},
+			pageOnly, []string{"/footprint/64MB failed", "[panic]"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := fpsim(t, append(small, tc.args...)...)
+			if code != 1 {
+				t.Errorf("exit status %d, want 1", code)
+			}
+			if stdout != tc.stdout {
+				t.Errorf("stdout:\n%s\nwant:\n%s", stdout, tc.stdout)
+			}
+			for _, want := range tc.stderr {
+				if !strings.Contains(stderr, want) {
+					t.Errorf("stderr does not contain %q:\n%s", want, stderr)
+				}
+			}
+		})
+	}
+}
+
+// TestProfileFlags runs fpsim with -cpuprofile and -memprofile and
+// checks that both profiles are written as gzipped pprof data.
+func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	args := []string{"-mode", "timing", "-workload", fpcache.MapReduce, "-capacity", "64",
 		"-refs", "20000", "-warmup", "10000", "-cpuprofile", cpu, "-memprofile", mem}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestProfileFlags$")
-	cmd.Env = append(os.Environ(), "FPSIM_TEST_ARGS="+strings.Join(args, "\n"))
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("fpsim %s: %v\n%s", strings.Join(args, " "), err, out)
+	stdout, stderr, code := fpsim(t, args...)
+	if code != 0 {
+		t.Fatalf("fpsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
 	}
-	if !strings.Contains(string(out), "IPC") {
-		t.Errorf("fpsim printed no timing report:\n%s", out)
+	if !strings.Contains(stdout, "IPC") {
+		t.Errorf("fpsim printed no timing report:\n%s", stdout)
 	}
 	for _, path := range []string{cpu, mem} {
 		data, err := os.ReadFile(path)
@@ -326,19 +388,11 @@ func TestProfileFlags(t *testing.T) {
 // TestExecTraceFlag runs fpsim with -exectrace and checks that a
 // non-empty runtime execution trace is written.
 func TestExecTraceFlag(t *testing.T) {
-	if args := os.Getenv("FPSIM_TEST_ARGS"); args != "" {
-		os.Args = append([]string{"fpsim"}, strings.Split(args, "\n")...)
-		main()
-		return
-	}
 	path := filepath.Join(t.TempDir(), "run.trace")
 	args := []string{"-mode", "timing", "-workload", fpcache.MapReduce, "-capacity", "64",
 		"-refs", "20000", "-warmup", "10000", "-exectrace", path}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestExecTraceFlag$")
-	cmd.Env = append(os.Environ(), "FPSIM_TEST_ARGS="+strings.Join(args, "\n"))
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("fpsim %s: %v\n%s", strings.Join(args, " "), err, out)
+	if _, stderr, code := fpsim(t, args...); code != 0 {
+		t.Fatalf("fpsim %s: exit %d\n%s", strings.Join(args, " "), code, stderr)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {

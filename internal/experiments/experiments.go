@@ -69,20 +69,17 @@ type Options struct {
 	// unlimited.
 	StateCacheMaxBytes int64
 
-	// The fault-tolerance knobs below switch sweeps from the strict
-	// executor (first error aborts the experiment) to the tolerant one
-	// (sweep.MapTolerant): panics are isolated per point, retryable
-	// faults retry up to MaxAttempts with RetryBackoff, PointTimeout
-	// bounds each attempt, and everything that failed or retried lands
-	// in the run's FailureReport. Successful points stay byte-identical
-	// to a strict run at any worker count.
+	// The fault-tolerance knobs below tune the sweep executor
+	// (sweep.MapTolerant), which every fan-out runs on: panics are
+	// always isolated per point, retryable faults retry up to
+	// MaxAttempts, PointTimeout bounds each attempt, and everything
+	// that failed or retried lands in the run's FailureReport.
+	// Successful points are byte-identical at any worker count, faults
+	// or no faults.
 
 	// MaxAttempts bounds per-point attempts for retryable faults
 	// (fpbench/fpsim -max-retries + 1); values below 2 mean no retry.
 	MaxAttempts int
-	// RetryBackoff is the base delay between attempts (doubled per
-	// retry, deterministically jittered from Seed).
-	RetryBackoff time.Duration
 	// PointTimeout is the per-attempt deadline (fpbench/fpsim
 	// -point-timeout); 0 disables it.
 	PointTimeout time.Duration
@@ -97,14 +94,6 @@ type Options struct {
 	// rec collects the run's FailureReport when the caller asked for
 	// one (RowsWithReport); nil drops the records.
 	rec *failureRecorder
-}
-
-// faultTolerant reports whether any tolerance knob asks for the
-// tolerant executor; with none set, sweeps run strict exactly as
-// before.
-func (o Options) faultTolerant() bool {
-	return o.MaxAttempts > 1 || o.RetryBackoff > 0 || o.PointTimeout > 0 ||
-		o.Tolerate || o.Injector.Active()
 }
 
 // WithDefaults returns the options as every driver will actually run
@@ -135,6 +124,11 @@ func (o Options) withDefaults() Options {
 		o.Capacities = []int{64, 128, 256, 512}
 	}
 	return o
+}
+
+// retry is the sweep policy of every fan-out the options drive.
+func (o Options) retry() sweep.Policy {
+	return sweep.Policy{MaxAttempts: o.MaxAttempts, Timeout: o.PointTimeout, Seed: o.Seed}
 }
 
 // workerCount resolves the Workers option to a concrete pool size.
@@ -238,17 +232,13 @@ func (r *failureRecorder) report(experiment string) *FailureReport {
 }
 
 // pmap fans n independent simulation points out over the options'
-// worker pool and gathers the results in point order. Without
-// tolerance knobs it is the strict executor (first error aborts, as
-// every experiment always ran); with them, points run under
-// sweep.MapTolerant — isolated, retried, deadline-bounded — and the
-// fan-out's faults land in the failure recorder. Either way the
+// worker pool under sweep.MapTolerant — isolated, retried,
+// deadline-bounded — and gathers the results in point order; the
+// fan-out's faults land in the failure recorder. A point that fails
+// for good fails the experiment unless Options.Tolerate is set. The
 // results of successful points are byte-identical at any worker
 // count.
 func pmap[T any](o Options, n int, job func(i int) (T, error)) ([]T, error) {
-	if !o.faultTolerant() {
-		return sweep.Map(o.workerCount(), n, job)
-	}
 	// Sweep ordinals come from the injector when one is scheduling (so
 	// its sweep= selectors and our point keys agree), else from the
 	// recorder; experiments launch sweeps sequentially, so numbering is
@@ -269,13 +259,7 @@ func pmap[T any](o Options, n int, job func(i int) (T, error)) ([]T, error) {
 			return job(i)
 		}
 	}
-	pol := sweep.Policy{
-		MaxAttempts: o.MaxAttempts,
-		Backoff:     o.RetryBackoff,
-		Timeout:     o.PointTimeout,
-		Seed:        o.Seed,
-	}
-	out, reports := sweep.MapTolerant(o.workerCount(), n, pol, wrapped)
+	out, reports := sweep.MapTolerant(o.workerCount(), n, o.retry(), wrapped)
 	var firstErr error
 	for _, r := range reports {
 		f := Failure{

@@ -2,10 +2,37 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
+	"fpcache/internal/fault"
 	"fpcache/internal/synth"
 )
+
+// TestPmapIsolatesPanicWithoutTolerance: with no fault-tolerance knob
+// set, a panicking point still runs isolated — pmap returns a typed
+// error naming the point instead of crashing the process.
+func TestPmapIsolatesPanicWithoutTolerance(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		o := Options{Workers: workers}
+		out, err := pmap(o, 6, func(i int) (int, error) {
+			if i == 2 {
+				panic("design bug")
+			}
+			return i, nil
+		})
+		if !errors.Is(err, fault.ErrPointPanic) {
+			t.Fatalf("workers=%d: err = %v, want a wrapped fault.ErrPointPanic", workers, err)
+		}
+		if !strings.Contains(err.Error(), "point 2") {
+			t.Fatalf("workers=%d: error does not name the point: %v", workers, err)
+		}
+		if out != nil {
+			t.Fatalf("workers=%d: failed sweep leaked results: %v", workers, out)
+		}
+	}
+}
 
 // TestSerialParallelByteIdentical is the determinism regression test
 // for the sweep port: the same Options must render byte-identical

@@ -3,11 +3,11 @@
 // communicate only through commit-by-job-index slots, never through
 // arbitrarily-interleaved writes to shared state. The analyzer builds
 // the goroutine-spawn graph — `go` statements plus the closure
-// arguments of the sweep executor entry points (sweep.Run/Map/
-// RunTolerant/MapTolerant, whose job functions run concurrently) —
-// computes which variables each worker closure captures or reaches
-// transitively (package-level variables included), and flags writes to
-// that shared state.
+// arguments of the sweep executor entry points (sweep.Map and
+// sweep.MapTolerant, whose job functions run concurrently) — computes
+// which variables each worker closure captures or reaches transitively
+// (package-level variables included), and flags writes to that shared
+// state.
 //
 // A write is legal when it is one of the disciplined forms:
 //
@@ -56,7 +56,7 @@ var Analyzer = &lint.Analyzer{
 // sweepEntryPoints are the executor functions whose final closure
 // argument runs concurrently on the worker pool.
 var sweepEntryPoints = map[string]bool{
-	"Run": true, "Map": true, "RunTolerant": true, "MapTolerant": true,
+	"Map": true, "MapTolerant": true,
 }
 
 // maxReachDepth bounds the transitive search for package-level writes
@@ -83,8 +83,8 @@ func run(pass *lint.Pass) error {
 }
 
 // isSweepEntry matches calls to the sweep executor entry points, both
-// qualified (sweep.MapTolerant) and package-internal (Run inside
-// internal/sweep itself).
+// qualified (sweep.MapTolerant) and package-internal (MapTolerant
+// inside internal/sweep itself).
 func isSweepEntry(info *types.Info, call *ast.CallExpr) bool {
 	fn := lint.CalleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil || !sweepEntryPoints[fn.Name()] {

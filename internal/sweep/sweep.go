@@ -1,9 +1,16 @@
-// Package sweep is a deterministic parallel job executor for the
-// simulation harness. Every point of an experiment grid (workload,
-// design, capacity, seed) is an independent simulation, so drivers
-// fan their points out over a bounded worker pool and gather results
-// in job-index order: output is byte-identical no matter how many
-// workers run or how the scheduler interleaves them.
+// Package sweep is a deterministic, fault-tolerant parallel job
+// executor for the simulation harness. Every point of an experiment
+// grid (workload, design, capacity, seed) is an independent
+// simulation, so drivers fan their points out over a bounded worker
+// pool and gather results in job-index order: output is byte-identical
+// no matter how many workers run or how the scheduler interleaves
+// them.
+//
+// There is one executor, MapTolerant: every point runs to completion
+// under panic isolation, a failure is reported per point and never
+// aborts its neighbors, and the Policy adds retries and deadlines.
+// Map is the same executor with the zero Policy, folding the reports
+// into the lowest-indexed error for callers that want all-or-nothing.
 //
 // The contract that makes this safe is the same one the experiment
 // drivers already obey: a job must build all of its own mutable state
@@ -28,84 +35,41 @@ func Workers(n int) int {
 	return n
 }
 
-// Run executes jobs 0..n-1 on at most workers goroutines (workers < 1
-// selects GOMAXPROCS). Execution order across workers is unspecified,
-// but error reporting is deterministic: the lowest-indexed failure is
-// returned — exactly what a serial loop that failed at that job would
-// have reported, so parallel and serial runs are indistinguishable to
-// callers. After a failure, jobs at higher indices than the lowest
-// known failure may be skipped (their results would be discarded
-// anyway); every job below it always runs, which is what keeps the
-// reported error deterministic.
-func Run(workers, n int, job func(i int) error) error {
-	if n <= 0 {
-		return nil
+// Map executes n value-producing jobs under MapTolerant with the zero
+// Policy and returns their results in job-index order. Every job runs;
+// if any failed (a panic included), Map returns nil results and the
+// lowest-indexed failure — the error a serial loop would have hit
+// first, so parallel and serial runs are indistinguishable.
+func Map[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
+	out, reports := MapTolerant(workers, n, Policy{}, job)
+	if len(reports) > 0 {
+		// The zero Policy never retries, so every report is a failure,
+		// and reports are ordered by index.
+		return nil, fmt.Errorf("sweep: job %d: %w", reports[0].Index, reports[0].Err)
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return fmt.Errorf("sweep: job %d: %w", i, err)
-			}
-		}
-		return nil
-	}
+	return out, nil
+}
 
-	errs := make([]error, n)
+// forEach runs job(0..n-1) on at most workers goroutines (workers < 1
+// selects GOMAXPROCS); one worker runs the jobs inline, in order.
+func forEach(workers, n int, job func(i int)) {
+	workers = min(Workers(workers), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			job(i)
+		}
+		return
+	}
 	var next atomic.Int64
-	var failedAt atomic.Int64 // lowest failing index observed so far
-	failedAt.Store(int64(n))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if int64(i) > failedAt.Load() {
-					continue // a lower job already failed; this result would be discarded
-				}
-				if err := job(i); err != nil {
-					errs[i] = err
-					for {
-						cur := failedAt.Load()
-						if int64(i) >= cur || failedAt.CompareAndSwap(cur, int64(i)) {
-							break
-						}
-					}
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				job(i)
 			}
 		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("sweep: job %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Map executes n value-producing jobs under Run's scheduling and
-// returns their results in job-index order.
-func Map[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := Run(workers, n, func(i int) error {
-		v, err := job(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -4,17 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"fpcache/internal/fault"
 )
 
-func TestRunExecutesEveryJobOnce(t *testing.T) {
+func TestMapExecutesEveryJobOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 100
 		counts := make([]atomic.Int32, n)
-		if err := Run(workers, n, func(i int) error {
+		if _, err := Map(workers, n, func(i int) (struct{}, error) {
 			counts[i].Add(1)
-			return nil
+			return struct{}{}, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -26,20 +29,21 @@ func TestRunExecutesEveryJobOnce(t *testing.T) {
 	}
 }
 
-func TestRunZeroJobs(t *testing.T) {
-	if err := Run(4, 0, func(int) error { t.Fatal("job ran"); return nil }); err != nil {
-		t.Fatal(err)
+func TestMapZeroJobs(t *testing.T) {
+	got, err := Map(4, 0, func(int) (int, error) { t.Fatal("job ran"); return 0, nil })
+	if err != nil || len(got) != 0 {
+		t.Fatalf("got %v, %v", got, err)
 	}
 }
 
-func TestRunReportsLowestIndexedError(t *testing.T) {
+func TestMapReportsLowestIndexedError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 8} {
-		err := Run(workers, 50, func(i int) error {
+		_, err := Map(workers, 50, func(i int) (int, error) {
 			if i == 7 || i == 31 {
-				return fmt.Errorf("job says %w", boom)
+				return 0, fmt.Errorf("job says %w", boom)
 			}
-			return nil
+			return i, nil
 		})
 		if err == nil || !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v", workers, err)
@@ -97,6 +101,27 @@ func TestMapErrorReturnsNil(t *testing.T) {
 	}
 	if got != nil {
 		t.Fatalf("partial results leaked: %v", got)
+	}
+}
+
+// TestMapIsolatesPanic: a panicking job fails the sweep with a typed
+// error instead of crashing the process, after every other job ran.
+func TestMapIsolatesPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int32
+		_, err := Map(workers, 8, func(i int) (int, error) {
+			ran.Add(1)
+			if i == 2 {
+				panic("design bug")
+			}
+			return i, nil
+		})
+		if !errors.Is(err, fault.ErrPointPanic) || !strings.HasPrefix(err.Error(), "sweep: job 2: ") {
+			t.Fatalf("workers=%d: err = %v", workers, err)
+		}
+		if n := ran.Load(); n != 8 {
+			t.Fatalf("workers=%d: %d of 8 jobs ran", workers, n)
+		}
 	}
 }
 

@@ -1,18 +1,14 @@
 package sweep
 
-// Fault-tolerant execution: the strict executor in sweep.go treats the
-// first error as fatal and short-circuits the sweep, which is right
-// for programming errors but wrong for server-scale sweeps where one
-// corrupt snapshot or panicking design composition must not discard
-// hours of neighboring points. RunTolerant/MapTolerant run every point
-// to completion under a Policy: panics are recovered into typed
-// errors, retryable faults are retried with exponential backoff and
-// deterministic jitter, per-attempt deadlines bound stuck points, and
-// every point that failed (or needed retries to succeed) is returned
-// in a deterministic report.
+// Fault-tolerant execution: one corrupt snapshot or panicking design
+// composition must not discard hours of neighboring points, so
+// MapTolerant runs every point to completion under a Policy: panics
+// are recovered into typed errors, retryable faults are retried with
+// exponential backoff and deterministic jitter, per-attempt deadlines
+// bound stuck points, and every point that failed (or needed retries
+// to succeed) is returned in a deterministic report.
 //
-// The determinism contract of the strict executor carries over:
-// results of successful points are committed by index, so output is
+// Results of successful points are committed by index, so output is
 // byte-identical at any worker count. A timed-out attempt's abandoned
 // goroutine can never commit a result — values travel through a
 // channel and are discarded once the deadline fires — so a straggler
@@ -27,20 +23,23 @@ import (
 	"fpcache/internal/fault"
 )
 
+// Backoff schedule between attempts: the delay before the second
+// attempt lies in [backoff/2, backoff], and the range doubles per
+// further attempt up to maxBackoff; the jitter within it derives
+// deterministically from Policy.Seed.
+const (
+	backoff    = 100 * time.Millisecond
+	maxBackoff = 64 * backoff
+)
+
 // Policy configures fault tolerance for one sweep. The zero value
 // isolates panics and runs every point exactly once with no deadline —
-// the minimum any tolerant sweep provides.
+// the minimum every sweep provides.
 type Policy struct {
 	// MaxAttempts bounds how many times a point runs before its
 	// failure is final; values below 1 mean one attempt (no retry).
-	// Only errors for which Retryable returns true are retried.
+	// Only fault.Retryable errors (transient I/O) are retried.
 	MaxAttempts int
-	// Backoff is the delay before the second attempt; it doubles per
-	// further attempt (capped by MaxBackoff) with deterministic jitter
-	// derived from Seed. Zero disables sleeping between attempts.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth; zero means 64x Backoff.
-	MaxBackoff time.Duration
 	// Timeout is the per-attempt deadline; zero disables it. A
 	// timed-out attempt counts as a non-retryable fault.ErrTimeout
 	// failure (a deterministic simulation that blew its deadline once
@@ -50,9 +49,6 @@ type Policy struct {
 	// Seed drives the backoff jitter, keyed with the point index and
 	// attempt number so schedules are reproducible run to run.
 	Seed int64
-	// Retryable classifies errors worth retrying; nil means
-	// fault.Retryable (transient I/O only).
-	Retryable func(error) bool
 	// sleep stubs time.Sleep in tests.
 	sleep func(time.Duration)
 }
@@ -64,14 +60,7 @@ func (p Policy) attempts() int {
 	return p.MaxAttempts
 }
 
-func (p Policy) retryable(err error) bool {
-	if p.Retryable != nil {
-		return p.Retryable(err)
-	}
-	return fault.Retryable(err)
-}
-
-// PanicError is a recovered sweep-point panic: the fault the tentpole
+// PanicError is a recovered sweep-point panic: the fault panic
 // isolation exists for. It wraps fault.ErrPointPanic and carries the
 // recovered value and the goroutine stack captured at recovery.
 type PanicError struct {
@@ -104,34 +93,23 @@ type PointReport struct {
 	Stack string
 }
 
-// RunTolerant executes jobs 0..n-1 on at most `workers` goroutines
-// under the policy. Unlike Run, every point executes regardless of
-// other points' failures; the returned reports (ordered by index)
-// cover exactly the points that failed or needed retries.
-func RunTolerant(workers, n int, pol Policy, job func(i int) error) []PointReport {
-	_, reports := MapTolerant(workers, n, pol, func(i int) (struct{}, error) {
-		return struct{}{}, job(i)
-	})
-	return reports
-}
-
-// MapTolerant executes n value-producing jobs under RunTolerant's
-// scheduling and policy. Failed points leave the zero value in their
-// result slot; out[i] is valid exactly when no report with Err != nil
-// names index i. Successful results are committed in index order, so
-// output is byte-identical at any worker count.
+// MapTolerant executes jobs 0..n-1 on at most workers goroutines
+// (workers < 1 selects GOMAXPROCS) under the policy. Every point
+// executes regardless of other points' failures; the returned reports
+// (ordered by index) cover exactly the points that failed or needed
+// retries. Failed points leave the zero value in their result slot;
+// out[i] is valid exactly when no report with Err != nil names index
+// i. Successful results are committed by index, so output is
+// byte-identical at any worker count.
 func MapTolerant[T any](workers, n int, pol Policy, job func(i int) (T, error)) ([]T, []PointReport) {
 	out := make([]T, n)
 	perPoint := make([]*PointReport, n)
-	// The inner job never returns an error, so Run's lowest-failure
-	// short-circuit never engages and all n points execute.
-	_ = Run(workers, n, func(i int) error {
+	forEach(workers, n, func(i int) {
 		v, rep := runPoint(i, pol, job)
 		if rep == nil || rep.Err == nil {
 			out[i] = v
 		}
 		perPoint[i] = rep
-		return nil
 	})
 	var reports []PointReport
 	for _, r := range perPoint {
@@ -153,20 +131,18 @@ func runPoint[T any](i int, pol Policy, job func(i int) (T, error)) (T, *PointRe
 			}
 			return v, nil
 		}
-		if attempt >= pol.attempts() || !pol.retryable(err) {
+		if attempt >= pol.attempts() || !fault.Retryable(err) {
 			rep := &PointReport{Index: i, Attempts: attempt, Err: err, Class: fault.ClassOf(err)}
 			if pe, ok := err.(*PanicError); ok {
 				rep.Stack = pe.Stack
 			}
 			return zero, rep
 		}
-		if d := backoffDelay(pol, i, attempt); d > 0 {
-			sleep := pol.sleep
-			if sleep == nil {
-				sleep = time.Sleep
-			}
-			sleep(d)
+		sleep := pol.sleep
+		if sleep == nil {
+			sleep = time.Sleep
 		}
+		sleep(backoffDelay(pol.Seed, i, attempt))
 	}
 }
 
@@ -209,19 +185,12 @@ func guarded[T any](i int, job func(i int) (T, error)) (v T, err error) {
 // retry count with up to 50% deterministic jitter, so colliding
 // retries (many points hitting one recovering disk) spread out
 // reproducibly.
-func backoffDelay(pol Policy, index, attempt int) time.Duration {
-	if pol.Backoff <= 0 {
-		return 0
+func backoffDelay(seed int64, index, attempt int) time.Duration {
+	d := backoff << (attempt - 1)
+	if d <= 0 || d > maxBackoff { // <= 0 catches shift overflow
+		d = maxBackoff
 	}
-	max := pol.MaxBackoff
-	if max <= 0 {
-		max = 64 * pol.Backoff
-	}
-	d := pol.Backoff << (attempt - 1)
-	if d <= 0 || d > max { // <= 0 catches shift overflow
-		d = max
-	}
-	j := splitmix64(uint64(pol.Seed) ^ uint64(index)*0x9E3779B97F4A7C15 ^ uint64(attempt))
+	j := splitmix64(uint64(seed) ^ uint64(index)*0x9E3779B97F4A7C15 ^ uint64(attempt))
 	jitter := time.Duration(j % uint64(d/2+1))
 	return d/2 + jitter
 }

@@ -145,7 +145,7 @@ func TestHotpageCompositeKeepsPageSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := engineOf(d)
+		eng := dcache.EngineOf(d)
 		if eng == nil {
 			t.Fatalf("%s: no engine", spec)
 		}

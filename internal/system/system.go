@@ -49,14 +49,11 @@ func DRAMConfigsFor(designName string) (off, stk dram.Config) {
 // resolve exactly as DRAMConfigsFor.
 func DRAMConfigsForDesign(d dcache.Design) (off, stk dram.Config) {
 	off, stk = DRAMConfigsFor(d.Name())
-	if eng := engineOf(d); eng != nil && eng.Mapping().SpreadsRows() {
+	if eng := dcache.EngineOf(d); eng != nil && eng.Mapping().SpreadsRows() {
 		stk.Policy = dram.ClosePage
 	}
 	return off, stk
 }
-
-// engineOf unwraps a design to its composed engine, if any.
-func engineOf(d dcache.Design) *dcache.Engine { return dcache.EngineOf(d) }
 
 // FunctionalResult summarizes a functional run. All counters exclude
 // the warmup prefix.
