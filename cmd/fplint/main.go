@@ -1,24 +1,18 @@
 // Command fplint runs the repository's custom static-analysis suite
 // (internal/lint): determinism, hotpath, faulterr, snapmeta,
-// workershare, and allocbudget. It works standalone —
+// workershare, and allocbudget, over the whole program at once, so the
+// hotpath and workershare call-graph closures and the allocbudget
+// escape scan see across packages:
 //
-//	fplint ./...                    # whole-program run, full call-graph closure
+//	fplint ./...
 //	fplint -analyzers hotpath ./...
 //	fplint -format sarif ./...      # SARIF 2.1.0 on stdout
 //	fplint -sarif out.sarif ./...   # text on stdout, SARIF to a file
-//	fplint -fix ./...               # apply suggested fixes in place
 //	fplint -list
 //
-// — and as a `go vet` plugin:
-//
-//	go build -o fplint ./cmd/fplint
-//	go vet -vettool=$PWD/fplint ./...
-//
-// In vettool mode each package is analyzed alone, so the hotpath and
-// workershare closures are package-local and allocbudget (which needs
-// the whole program and the module on disk) is a no-op; CI's
-// standalone step provides the full coverage. Standalone runs are also
-// strict about suppressions: an //fplint:ignore that suppresses
+// Findings state their rewrite in the message ("use %w", "iterate
+// slices.Sorted(maps.Keys(m))", "delete the stale directive"). Runs
+// are strict about suppressions: an //fplint:ignore that suppresses
 // nothing is itself a finding (disable with -strict-ignores=false).
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 package main
@@ -105,24 +99,15 @@ func main() {
 }
 
 func run(args []string, stdout, stderr *os.File) int {
-	// go vet probes the tool with -flags and -V=full, then invokes it
-	// once per package with a .cfg file.
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" || a == "-flags" || a == "--flags" || strings.HasSuffix(a, ".cfg") {
-			return lint.VetMain(args, suite(), stdout, stderr)
-		}
-	}
-
 	fs := flag.NewFlagSet("fplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run")
 	dir := fs.String("C", ".", "directory to resolve package patterns in (the module root)")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place, then report what remains")
 	format := fs.String("format", "text", "stdout format: text or sarif")
 	sarifPath := fs.String("sarif", "", "also write a SARIF 2.1.0 report to this file")
 	strictIgnores := fs.Bool("strict-ignores", true,
-		"treat //fplint:ignore directives that suppress nothing as findings (standalone only)")
+		"treat //fplint:ignore directives that suppress nothing as findings")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -181,36 +166,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		diags = append(diags, lint.StaleIgnores(audit, enabled)...)
 		lint.SortDiagnostics(diags)
-	}
-
-	if *fix {
-		res, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "fplint: %v\n", err)
-			return 2
-		}
-		for _, f := range res.Files {
-			fmt.Fprintf(stdout, "fplint: fixed %s\n", f)
-		}
-		if len(res.Files) > 0 {
-			// The tree changed under the memoized load.
-			lint.InvalidateShared(*dir)
-		}
-		fmt.Fprintf(stderr, "fplint: applied %d fix(es), %d finding(s) skipped (overlap)\n",
-			len(res.Applied), len(res.Skipped))
-		// Findings whose fix landed are resolved; what remains needs a
-		// human.
-		fixed := map[string]bool{}
-		for _, d := range res.Applied {
-			fixed[d.String()] = true
-		}
-		var rest []lint.Diagnostic
-		for _, d := range diags {
-			if !fixed[d.String()] {
-				rest = append(rest, d)
-			}
-		}
-		diags = rest
 	}
 
 	if *sarifPath != "" {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -99,20 +98,6 @@ func TestSuiteScopes(t *testing.T) {
 	}
 }
 
-// TestVetHandshake checks the `go vet -vettool` version protocol: the
-// tool must answer -V=full with a single stable line cmd/go can use as
-// a cache key.
-func TestVetHandshake(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := lint.VetMain([]string{"-V=full"}, suite(), &out, &errb); code != 0 {
-		t.Fatalf("-V=full exited %d, stderr: %s", code, errb.String())
-	}
-	got := strings.TrimSpace(out.String())
-	if got != lint.VetVersionString {
-		t.Errorf("-V=full printed %q, want %q", got, lint.VetVersionString)
-	}
-}
-
 // runDriver invokes run() as the CLI would, capturing stdout.
 func runDriver(t *testing.T, args ...string) (int, string) {
 	t.Helper()
@@ -145,39 +130,6 @@ func writeTempModule(t *testing.T, files map[string]string) string {
 		}
 	}
 	return dir
-}
-
-// TestFixRewritesInPlace drives -fix end to end: a faulterr finding
-// with a mechanical rewrite is applied to disk and the re-run is
-// clean.
-func TestFixRewritesInPlace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns go list in -short mode")
-	}
-	dir := writeTempModule(t, map[string]string{
-		"internal/snap/snap.go": `package snap
-
-import "fmt"
-
-func Restore(path string, cause error) error {
-	return fmt.Errorf("restore %s: %v", path, cause)
-}
-`,
-	})
-	code, out := runDriver(t, "-C", dir, "-fix", "./...")
-	if code != 0 {
-		t.Fatalf("-fix exited %d, want 0 (all findings fixable); stdout:\n%s", code, out)
-	}
-	src, err := os.ReadFile(filepath.Join(dir, "internal/snap/snap.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), `"restore %s: %w"`) {
-		t.Errorf("fix did not rewrite %%v to %%w; file now:\n%s", src)
-	}
-	if code, _ := runDriver(t, "-C", dir, "./..."); code != 0 {
-		t.Errorf("tree still dirty after -fix, exited %d", code)
-	}
 }
 
 // TestSARIFOutput smoke-tests -format sarif: well-formed SARIF 2.1.0

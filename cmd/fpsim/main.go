@@ -12,7 +12,9 @@
 // the reference stream (warmup included) to a binary trace file while
 // simulating, and -trace-in replays such a file through the design
 // instead of the synthetic generator — bit-identical results, no
-// generator cost.
+// generator cost. A recording is chunk-indexed, so it feeds -skip,
+// -restore and -intervals directly; -trace-in - streams a trace from
+// stdin, which serves exactly one run and cannot seek.
 //
 // Warm state can be checkpointed and restored (§5.4's warmed
 // checkpoints): -checkpoint writes the post-warmup snapshot to a file
@@ -164,6 +166,9 @@ func run() {
 			fail(fmt.Errorf("-skip does not combine with -checkpoint/-restore (a restore already fast-forwards its warmup)"))
 		}
 	}
+	if *traceIn == "-" && (*checkpt != "" || *restore != "") {
+		fail(fmt.Errorf("-checkpoint/-restore replay a trace file; stdin is not one (replay from a file instead)"))
+	}
 	if *intervals > 0 {
 		switch {
 		case *traceIn == "":
@@ -247,6 +252,9 @@ func run() {
 	}
 	if (*checkpt != "" || *restore != "") && len(pts) > 1 {
 		fail(fmt.Errorf("-checkpoint/-restore address one run's warm state; got %d simulation points", len(pts)))
+	}
+	if *traceIn == "-" && len(pts) > 1 {
+		fail(fmt.Errorf("-trace-in - streams stdin once, into one run; got %d simulation points (replay from a file to sweep)", len(pts)))
 	}
 	pol := sweep.Policy{MaxAttempts: *retries + 1, Timeout: *timeout, Seed: *seed}
 	if *intervals > 0 {
@@ -353,7 +361,7 @@ func run() {
 // file.
 type teeSource struct {
 	src memtrace.Source
-	w   *memtrace.Writer
+	w   *memtrace.WriterV2
 	err error
 }
 
@@ -369,49 +377,57 @@ func (t *teeSource) Next() (memtrace.Record, bool) {
 	return rec, true
 }
 
+// replayTrace is a recorded trace opened for replay: a Source that
+// reports its decode error once drained.
+type replayTrace interface {
+	memtrace.Source
+	Err() error
+}
+
+// openTrace opens a recorded trace for replay: "-" streams stdin, and
+// a file opens through the seekable reader, whose chunk index serves
+// -skip and -restore fast-forwards. The returned func closes the file.
+func openTrace(path string, inj *faultinject.Injector) (replayTrace, func() error, error) {
+	if path == "-" {
+		return memtrace.NewReader(inj.Reader(faultinject.SiteTraceRead, os.Stdin)), func() error { return nil }, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	fr, err := memtrace.NewFileReader(inj.ReadSeeker(faultinject.SiteTraceRead, f))
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return fr, f.Close, nil
+}
+
 // runFunctionalPoint runs one functional simulation, optionally
 // replaying its reference stream from a trace file (traceIn, "-" for
 // stdin) or recording it to one (traceOut). A recorded file contains
 // the whole stream — warmup prefix included — so a replay with the
 // same -warmup/-refs split reproduces the run bit-identically. A
 // positive skip fast-forwards that many records before the run via the
-// seekable reader's chunk index (no decode of the skipped prefix), so
-// one long recording serves runs over any of its regions.
+// chunk index (no decode of the skipped prefix), so one long recording
+// serves runs over any of its regions.
 func runFunctionalPoint(cfg fpcache.Config, traceIn, traceOut string, skip int, inj *faultinject.Injector) (fpcache.FunctionalResult, error) {
 	switch {
 	case traceIn != "":
-		var src memtrace.Source
-		var srcErr func() error
-		if traceIn == "-" {
-			r := memtrace.NewReader(inj.Reader(faultinject.SiteTraceRead, os.Stdin))
-			src, srcErr = r, r.Err
-		} else {
-			f, err := os.Open(traceIn)
-			if err != nil {
+		src, closeTrace, err := openTrace(traceIn, inj)
+		if err != nil {
+			return fpcache.FunctionalResult{}, err
+		}
+		defer closeTrace()
+		if skipped := memtrace.Skip(src, skip); skipped < skip {
+			if err := src.Err(); err != nil {
 				return fpcache.FunctionalResult{}, err
 			}
-			defer f.Close()
-			if skip > 0 {
-				fr, err := memtrace.NewFileReader(inj.ReadSeeker(faultinject.SiteTraceRead, f))
-				if err != nil {
-					return fpcache.FunctionalResult{}, err
-				}
-				skipped, err := fr.SkipRecords(skip)
-				if err != nil {
-					return fpcache.FunctionalResult{}, err
-				}
-				if skipped < skip {
-					return fpcache.FunctionalResult{}, fmt.Errorf("trace %s holds only %d of the %d records -skip requested", traceIn, skipped, skip)
-				}
-				src, srcErr = fr, fr.Err
-			} else {
-				r := memtrace.NewReader(inj.Reader(faultinject.SiteTraceRead, f))
-				src, srcErr = r, r.Err
-			}
+			return fpcache.FunctionalResult{}, fmt.Errorf("trace %s holds only %d of the %d records -skip requested", traceIn, skipped, skip)
 		}
 		res, err := fpcache.RunFunctionalSource(cfg, src)
 		if err == nil {
-			err = srcErr()
+			err = src.Err()
 		}
 		if err == nil && res.Refs < uint64(cfg.Refs) {
 			// A short trace silently truncates the run; surface it so a
@@ -429,13 +445,13 @@ func runFunctionalPoint(cfg fpcache.Config, traceIn, traceOut string, skip int, 
 		if err != nil {
 			return fpcache.FunctionalResult{}, err
 		}
-		tee := &teeSource{src: src, w: memtrace.NewWriter(f)}
+		tee := &teeSource{src: src, w: memtrace.NewWriterV2(f)}
 		res, err := fpcache.RunFunctionalSource(cfg, tee)
 		if err == nil {
 			err = tee.err
 		}
-		if ferr := tee.w.Flush(); err == nil {
-			err = ferr
+		if cerr := tee.w.Close(); err == nil {
+			err = cerr
 		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -462,13 +478,12 @@ func effectiveWarmup(cfg fpcache.Config) int {
 // runWarmStatePoint runs one functional simulation through the
 // warm-state checkpoint machinery: with restore, the design's warm
 // state loads from a snapshot and the warmup prefix is skipped (not
-// simulated — seeked past via the chunk index when the trace file is
-// indexed); with checkpoint, the state warms normally and the
-// snapshot is written before measurement. Either way the measured
-// result is byte-identical to an uninterrupted run. The snapshot
-// stores the run identity (workload, seed, scale, warmup), so a
-// restore under different flags fails instead of silently measuring a
-// different run.
+// simulated — seeked past via the trace file's chunk index); with
+// checkpoint, the state warms normally and the snapshot is written
+// before measurement. Either way the measured result is byte-identical
+// to an uninterrupted run. The snapshot stores the run identity
+// (workload, seed, scale, warmup), so a restore under different flags
+// fails instead of silently measuring a different run.
 func runWarmStatePoint(cfg fpcache.Config, traceIn, checkpoint, restore string, inj *faultinject.Injector) (fpcache.FunctionalResult, error) {
 	design, err := fpcache.NewDesign(cfg)
 	if err != nil {
@@ -477,17 +492,11 @@ func runWarmStatePoint(cfg fpcache.Config, traceIn, checkpoint, restore string, 
 	var src memtrace.Source
 	var srcErr func() error
 	if traceIn != "" {
-		f, err := os.Open(traceIn)
+		r, closeTrace, err := openTrace(traceIn, inj)
 		if err != nil {
 			return fpcache.FunctionalResult{}, err
 		}
-		defer f.Close()
-		// The seekable reader lets a restore fast-forward warmup via
-		// the v2 chunk index (or v1 arithmetic) instead of decoding it.
-		r, err := memtrace.NewFileReader(inj.ReadSeeker(faultinject.SiteTraceRead, f))
-		if err != nil {
-			return fpcache.FunctionalResult{}, err
-		}
+		defer closeTrace()
 		src, srcErr = r, r.Err
 	} else {
 		src, _, err = fpcache.NewTrace(cfg)

@@ -29,7 +29,9 @@ func testConfig() fpcache.Config {
 
 // TestTraceRoundTrip pins the record-and-replay contract: a run
 // recorded with -trace-out and replayed with -trace-in produces a
-// byte-identical FunctionalResult to the live generator run.
+// byte-identical FunctionalResult to the live generator run, and the
+// recording is a chunk-indexed trace that passes the seekable reader's
+// full verification.
 func TestTraceRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	path := filepath.Join(t.TempDir(), "run.trace")
@@ -67,19 +69,18 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r := memtrace.NewReader(f)
-	n := 0
-	for {
-		if _, ok := r.Next(); !ok {
-			break
-		}
-		n++
+	fr, err := memtrace.NewFileReader(f)
+	if err != nil {
+		t.Fatalf("recorded trace has no chunk index: %v", err)
 	}
-	if r.Err() != nil {
-		t.Fatalf("recorded trace unreadable: %v", r.Err())
+	if offsets, _, _ := fr.Chunks(); len(offsets) == 0 {
+		t.Fatal("recorded trace has an empty chunk index")
 	}
-	if want := cfg.WarmupRefs + cfg.Refs; n != want {
-		t.Fatalf("recorded %d records, want %d (warmup %d + refs %d)", n, want, cfg.WarmupRefs, cfg.Refs)
+	if err := fr.Verify(); err != nil {
+		t.Fatalf("recorded trace fails verification: %v", err)
+	}
+	if want := uint64(cfg.WarmupRefs + cfg.Refs); fr.Len() != want {
+		t.Fatalf("recorded %d records, want %d (warmup %d + refs %d)", fr.Len(), want, cfg.WarmupRefs, cfg.Refs)
 	}
 }
 
@@ -321,16 +322,18 @@ func fpsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), code
 }
 
-// TestFailureExitStatus pins how fpsim fails: bad capacities are
-// rejected before the sweep starts, and a faulted point is named on
-// stderr while the surviving points still print, with exit status 1
-// either way.
+// TestFailureExitStatus pins how fpsim fails: bad capacities and
+// stdin replays that would need a second pass over stdin (several
+// points, or a checkpoint) are rejected before the sweep starts, and a
+// faulted point is named on stderr while the surviving points still
+// print, with exit status 1 either way.
 func TestFailureExitStatus(t *testing.T) {
 	small := []string{"-workload", fpcache.MapReduce, "-scale", "0.015625", "-refs", "20000", "-warmup", "10000"}
 	pageOnly, stderr, code := fpsim(t, append(small, "-design", "page", "-capacity", "64")...)
 	if code != 0 || pageOnly == "" {
 		t.Fatalf("reference page run: exit %d, stdout %q, stderr %q", code, pageOnly, stderr)
 	}
+	snap := filepath.Join(t.TempDir(), "w.snap")
 	cases := []struct {
 		name   string
 		args   []string
@@ -339,6 +342,12 @@ func TestFailureExitStatus(t *testing.T) {
 	}{
 		{"zero capacity", []string{"-design", "footprint", "-capacity", "0"}, "", []string{`bad capacity "0"`}},
 		{"negative capacity", []string{"-design", "footprint", "-capacity", "64,-1"}, "", []string{`bad capacity "-1"`}},
+		{"stdin two points", []string{"-design", "page,footprint", "-capacity", "64", "-trace-in", "-"},
+			"", []string{"-trace-in - streams stdin once", "got 2 simulation points"}},
+		{"stdin two points parallel", []string{"-design", "page,footprint", "-capacity", "64", "-trace-in", "-", "-j", "2"},
+			"", []string{"-trace-in - streams stdin once", "got 2 simulation points"}},
+		{"stdin checkpoint", []string{"-design", "footprint", "-capacity", "64", "-trace-in", "-", "-checkpoint", snap},
+			"", []string{"-checkpoint/-restore replay a trace file"}},
 		{"point panic", []string{"-design", "page,footprint", "-capacity", "64", "-fault-spec", "point:panic:point=1"},
 			pageOnly, []string{"/footprint/64MB failed", "[panic]"}},
 	}

@@ -2,20 +2,18 @@
 // binary trace format, so external tools (or repeated cache studies)
 // can replay identical reference streams.
 //
-// Format v1 (the default) is a flat fixed-width record dump; -v2
-// writes trace format v2 — delta/varint-compressed records in
-// independently decodable, CRC-protected chunks with a trailing chunk
-// index, which seekable readers (memtrace.FileReader, fpsim -restore
-// fast-forwarding) use to jump to any record without decoding the
-// prefix. -index inspects an existing trace file of either version;
-// -verify is the trace fsck — it walks every chunk (CRC, framing, full
-// record decode, index agreement) and exits non-zero naming the first
-// corrupt chunk and offset.
+// The format holds delta/varint-compressed records in independently
+// decodable, CRC-protected chunks with a trailing chunk index, which
+// seekable readers (memtrace.FileReader; fpsim -skip, -restore and
+// -intervals) use to jump to any record without decoding the prefix.
+// -index inspects an existing trace file; -verify is the trace fsck —
+// it walks every chunk (CRC, framing, full record decode, index
+// agreement) and exits non-zero naming the first corrupt chunk and
+// offset.
 //
 // Usage:
 //
 //	tracegen -workload mapreduce -refs 5000000 -o mapreduce.trace
-//	tracegen -workload mapreduce -refs 5000000 -v2 -o mapreduce.trace
 //	tracegen -index mapreduce.trace
 //	tracegen -verify mapreduce.trace
 //	tracegen -stats mapreduce.trace
@@ -41,8 +39,7 @@ func main() {
 		refs     = flag.Int("refs", 1_000_000, "number of references to emit")
 		scale    = flag.Float64("scale", fpcache.DefaultScale, "capacity scale factor")
 		seed     = flag.Int64("seed", 1, "random seed")
-		v2       = flag.Bool("v2", false, "write trace format v2 (chunked, delta-compressed, seekable)")
-		chunk    = flag.Int("chunk", memtrace.DefaultChunkRecords, "records per v2 chunk")
+		chunk    = flag.Int("chunk", memtrace.DefaultChunkRecords, "records per chunk")
 		index    = flag.String("index", "", "print the chunk index of an existing trace file and exit")
 		statsIn  = flag.String("stats", "", "print chunking statistics of an existing trace file (chunk count, records/chunk histogram, bytes/record) and exit")
 		verify   = flag.String("verify", "", "verify an existing trace file (chunk CRCs, framing, index) and exit")
@@ -84,40 +81,22 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	wrote, err := writeTrace(f, src, *refs, *v2, *chunk)
+	wrote, err := writeTrace(f, src, *refs, *chunk)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		fail(err)
 	}
-	version := 1
-	if *v2 {
-		version = 2
-	}
-	fmt.Printf("tracegen: wrote %d records of %s to %s (format v%d)\n", wrote, *workload, *out, version)
+	fmt.Printf("tracegen: wrote %d records of %s to %s\n", wrote, *workload, *out)
 }
 
-// writeTrace drains up to refs records from src into w in the chosen
-// format.
-func writeTrace(w *os.File, src memtrace.Source, refs int, v2 bool, chunkRecs int) (uint64, error) {
-	if v2 {
-		tw := memtrace.NewWriterV2(w)
-		if err := tw.SetChunkRecords(chunkRecs); err != nil {
-			return 0, err
-		}
-		for i := 0; i < refs; i++ {
-			rec, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := tw.Write(rec); err != nil {
-				return tw.Count(), err
-			}
-		}
-		return tw.Count(), tw.Close()
+// writeTrace drains up to refs records from src into w.
+func writeTrace(w *os.File, src memtrace.Source, refs, chunkRecs int) (uint64, error) {
+	tw := memtrace.NewWriterV2(w)
+	if err := tw.SetChunkRecords(chunkRecs); err != nil {
+		return 0, err
 	}
-	tw := memtrace.NewWriter(w)
 	for i := 0; i < refs; i++ {
 		rec, ok := src.Next()
 		if !ok {
@@ -127,11 +106,11 @@ func writeTrace(w *os.File, src memtrace.Source, refs int, v2 bool, chunkRecs in
 			return tw.Count(), err
 		}
 	}
-	return tw.Count(), tw.Flush()
+	return tw.Count(), tw.Close()
 }
 
-// printIndex opens a trace file and reports its version, record count,
-// and (for v2) the chunk index.
+// printIndex opens a trace file and reports its record count and chunk
+// index.
 func printIndex(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -146,7 +125,7 @@ func printIndex(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: format v%d, %d records, %d bytes", path, fr.Version(), fr.Len(), st.Size())
+	fmt.Printf("%s: %d records, %d bytes", path, fr.Len(), st.Size())
 	if fr.Len() > 0 {
 		fmt.Printf(" (%.2f bytes/record)", float64(st.Size())/float64(fr.Len()))
 	}
@@ -180,7 +159,7 @@ func printStats(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: format v%d\n", path, fr.Version())
+	fmt.Printf("%s\n", path)
 	fmt.Printf("records:        %d\n", fr.Len())
 	fmt.Printf("bytes:          %d", st.Size())
 	if fr.Len() > 0 {
@@ -189,7 +168,7 @@ func printStats(path string) error {
 	fmt.Println()
 	_, _, counts := fr.Chunks()
 	if len(counts) == 0 {
-		fmt.Println("chunks:         none (v1 traces have no chunk index; rewrite with -v2 to seek and split)")
+		fmt.Println("chunks:         none (empty trace)")
 		return nil
 	}
 	min, max, sum := counts[0], counts[0], uint64(0)
@@ -235,8 +214,7 @@ func verifyTrace(path string) error {
 		return err
 	}
 	offsets, _, _ := fr.Chunks()
-	fmt.Printf("%s: ok — format v%d, %d records, %d chunks verified\n",
-		path, fr.Version(), fr.Len(), len(offsets))
+	fmt.Printf("%s: ok — %d records, %d chunks verified\n", path, fr.Len(), len(offsets))
 	return nil
 }
 

@@ -1,8 +1,8 @@
 // Tracefile shows the on-disk trace workflow: generate a workload
-// trace, write it in the binary format, read it back, and replay it
-// through two different cache designs — guaranteeing both see exactly
-// the same reference stream (the methodology behind every comparison
-// in the paper).
+// trace, write it in the chunked binary format, read it back, and
+// replay it through two different cache designs — guaranteeing both see
+// exactly the same reference stream (the methodology behind every
+// comparison in the paper).
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tw := memtrace.NewWriter(f)
+	tw := memtrace.NewWriterV2(f)
 	for i := 0; i < refs; i++ {
 		rec, ok := src.Next()
 		if !ok {
@@ -47,7 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := tw.Flush(); err != nil {
+	if err := tw.Close(); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -22,8 +22,11 @@ func TestReasonlessIgnoreReportsAndSuppressesNothing(t *testing.T) {
 	})
 }
 
+// TestSortedKeysSuggestedFix pins the rewrite advice every map-range
+// finding carries in its message.
 func TestSortedKeysSuggestedFix(t *testing.T) {
-	linttest.RunFix(t, "testdata/fix", determinism.Analyzer)
+	advice := `iterate slices\.Sorted\(maps\.Keys\(m\)\)`
+	linttest.RunExpect(t, "testdata/fix", determinism.Analyzer, []string{advice, advice})
 }
 
 func TestFixFixtureWants(t *testing.T) {

@@ -1,6 +1,6 @@
-// Fixture for the determinism suggested fix: a key-only map range
-// with order-sensitive effects becomes iteration over
-// slices.Sorted(maps.Keys(m)), with the import edits included.
+// Fixture for the determinism rewrite advice: a key-only map range
+// with order-sensitive effects is told to iterate
+// slices.Sorted(maps.Keys(m)).
 package a
 
 import (

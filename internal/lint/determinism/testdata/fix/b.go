@@ -1,5 +1,5 @@
-// Second fixture file: the fix must synthesize a whole import block
-// when the file has none.
+// Second fixture file: a file with no import block gets the same
+// advice.
 package a
 
 func Collect(m map[int]string) []string {

@@ -15,8 +15,13 @@ func TestIgnoreDirective(t *testing.T) {
 	linttest.Run(t, "testdata/ignored", faulterr.Analyzer)
 }
 
+// TestWrapVerbSuggestedFix pins the rewrite advice every Errorf
+// finding carries in its message.
 func TestWrapVerbSuggestedFix(t *testing.T) {
-	linttest.RunFix(t, "testdata/fix", faulterr.Analyzer)
+	advice := `fmt\.Errorf without %w.*use %w for the error argument`
+	linttest.RunExpect(t, "testdata/fix", faulterr.Analyzer, []string{
+		advice, advice, advice, `bare errors\.New`,
+	})
 }
 
 func TestFixFixtureWants(t *testing.T) {

@@ -1,6 +1,5 @@
-// Fixture for the faulterr suggested fix: Errorf verbs for error
-// arguments become %w; constructs without a mechanical rewrite are
-// reported plain.
+// Fixture for the faulterr rewrite advice: every Errorf finding says
+// to use %w for the error argument, whatever shape its format has.
 package a
 
 import (
@@ -21,7 +20,6 @@ func Legacy() error {
 }
 
 func Padded(err error) error {
-	// %-20s carries a flag: the verb→argument mapping is not
-	// byte-trivial, so no fix — the finding is reported plain.
+	// %-20s carries a flag; the advice is the same.
 	return fmt.Errorf("padded %-20s", err) // want `fmt\.Errorf without %w`
 }

@@ -10,8 +10,8 @@
 // The moving parts mirror go/analysis deliberately: an Analyzer owns a
 // Run function over a Pass; a Pass exposes one type-checked package
 // (syntax, *types.Package, *types.Info); Program bundles every package
-// of a standalone run so whole-program analyses (the hotpath call
-// graph) can see across package boundaries. Load builds a Program by
+// of the run so whole-program analyses (the hotpath call graph) can
+// see across package boundaries. Load builds a Program by
 // shelling out to `go list -export -deps -json` and type-checking the
 // module's packages against the gc export data of their dependencies,
 // which works fully offline.
@@ -52,30 +52,10 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Fixes are optional mechanical corrections; fplint -fix applies
-	// the first fix of each finding when its edits do not overlap
-	// another applied fix.
-	Fixes []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Analyzer, d.Message)
-}
-
-// SuggestedFix is one mechanical correction for a finding: a set of
-// byte-offset edits that, applied together, resolve it.
-type SuggestedFix struct {
-	// Message describes the fix for reports ("replace %v with %w").
-	Message string
-	Edits   []TextEdit
-}
-
-// TextEdit replaces the bytes [Start, End) of Filename with NewText.
-// Start == End inserts.
-type TextEdit struct {
-	Filename   string
-	Start, End int
-	NewText    string
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -87,9 +67,9 @@ type Pass struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	Sizes types.Sizes
-	// Program is the whole standalone run, nil when analyzing a single
-	// package in `go vet -vettool` mode — whole-program analyses must
-	// degrade to package-local reasoning when it is nil.
+	// Program is the whole run the package belongs to; it is always
+	// set, so whole-program analyses (the hotpath and workershare
+	// closures, the allocbudget escape scan) see across packages.
 	Program *Program
 
 	diags *[]Diagnostic
@@ -114,29 +94,6 @@ func (p *Pass) ReportAt(pos token.Position, format string, args ...any) {
 		Pos:      pos,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportFix records a finding at pos carrying one suggested fix. A fix
-// with no edits is dropped (the analyzer decided mid-construction the
-// rewrite was not safe) and the finding reported plain.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	d := Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	}
-	if len(fix.Edits) > 0 {
-		d.Fixes = []SuggestedFix{fix}
-	}
-	*p.diags = append(*p.diags, d)
-}
-
-// Edit builds a TextEdit replacing the source range [from, to) with
-// newText, resolving token positions to byte offsets.
-func (p *Pass) Edit(from, to token.Pos, newText string) TextEdit {
-	start := p.Fset.Position(from)
-	end := p.Fset.Position(to)
-	return TextEdit{Filename: start.Filename, Start: start.Offset, End: end.Offset, NewText: newText}
 }
 
 // RunProgram runs every analyzer over every package of prog (honoring
@@ -179,7 +136,7 @@ func RunProgramAudit(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []Igno
 		diags, uses = applyIgnores(prog.Fset, pkg.Files, diags)
 		audit = append(audit, uses...)
 	}
-	sortDiagnostics(diags)
+	SortDiagnostics(diags)
 	sort.Slice(audit, func(i, j int) bool {
 		a, b := audit[i].Pos, audit[j].Pos
 		if a.Filename != b.Filename {
@@ -192,10 +149,10 @@ func RunProgramAudit(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []Igno
 
 // StaleIgnores converts unused directives into findings: a directive
 // that suppressed nothing for any of the enabled analyzers it names is
-// a lost invariant waiting to regress silently. Each finding carries a
-// fix deleting the directive. enabled is the set of analyzer names
-// that actually ran; directives naming only other analyzers are left
-// alone (a scoped or filtered run cannot judge them).
+// a lost invariant waiting to regress silently. enabled is the set of
+// analyzer names that actually ran; directives naming only other
+// analyzers are left alone (a scoped or filtered run cannot judge
+// them).
 func StaleIgnores(audit []IgnoreUse, enabled map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, u := range audit {
@@ -220,8 +177,7 @@ func StaleIgnores(audit []IgnoreUse, enabled map[string]bool) []Diagnostic {
 			Analyzer: "fplint",
 			Pos:      u.Pos,
 			Message: fmt.Sprintf("stale //fplint:ignore %s: it suppresses no finding; "+
-				"delete it (or re-justify it) so silenced invariants stay visible", names),
-			Fixes: []SuggestedFix{{Message: "delete the stale directive", Edits: []TextEdit{u.delEdit}}},
+				"delete the stale directive (or re-justify it) so silenced invariants stay visible", names),
 		})
 	}
 	return out
@@ -231,9 +187,7 @@ func StaleIgnores(audit []IgnoreUse, enabled map[string]bool) []Diagnostic {
 // message — the stable order every output path uses. Callers that
 // append findings after a Run* call (e.g. StaleIgnores) re-sort with
 // this before printing.
-func SortDiagnostics(diags []Diagnostic) { sortDiagnostics(diags) }
-
-func sortDiagnostics(diags []Diagnostic) {
+func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

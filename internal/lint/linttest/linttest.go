@@ -14,10 +14,7 @@
 package linttest
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -52,7 +49,8 @@ func Run(t *testing.T, dir string, a *lint.Analyzer) {
 }
 
 // RunExpect analyzes the fixture and requires exactly len(patterns)
-// diagnostics, each pattern matching at least one diagnostic.
+// diagnostics, each pattern matching its own diagnostic (a pattern
+// listed twice needs two matching findings).
 func RunExpect(t *testing.T, dir string, a *lint.Analyzer, patterns []string) {
 	t.Helper()
 	prog, err := lint.LoadFixture(dir)
@@ -66,64 +64,18 @@ func RunExpect(t *testing.T, dir string, a *lint.Analyzer, patterns []string) {
 	if len(diags) != len(patterns) {
 		t.Errorf("got %d diagnostics, want %d:\n%s", len(diags), len(patterns), render(diags))
 	}
+	used := make([]bool, len(diags))
 	for _, p := range patterns {
 		re := regexp.MustCompile(p)
 		found := false
-		for _, d := range diags {
-			if re.MatchString(d.Message) {
-				found = true
+		for i, d := range diags {
+			if !used[i] && re.MatchString(d.Message) {
+				used[i], found = true, true
 				break
 			}
 		}
 		if !found {
 			t.Errorf("no diagnostic matches %q:\n%s", p, render(diags))
-		}
-	}
-}
-
-// RunFix analyzes the fixture, applies the first suggested fix of
-// every diagnostic in memory, and compares each patched file against
-// its checked-in `<name>.golden` sibling. Files without fixes need no
-// golden; a golden without fixes is an error.
-func RunFix(t *testing.T, dir string, a *lint.Analyzer) {
-	t.Helper()
-	prog, err := lint.LoadFixture(dir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	diags, err := lint.RunProgram(prog, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	byFile := map[string][]lint.TextEdit{}
-	for _, d := range diags {
-		if len(d.Fixes) == 0 {
-			continue
-		}
-		for _, e := range d.Fixes[0].Edits {
-			byFile[e.Filename] = append(byFile[e.Filename], e)
-		}
-	}
-	if len(byFile) == 0 {
-		t.Fatalf("no diagnostic in %s carries a suggested fix", dir)
-	}
-	for file, edits := range byFile {
-		src, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatalf("reading %s: %v", file, err)
-		}
-		got, err := lint.ApplyEdits(src, edits)
-		if err != nil {
-			t.Fatalf("applying fixes to %s: %v", file, err)
-		}
-		golden := file + ".golden"
-		want, err := os.ReadFile(golden)
-		if err != nil {
-			t.Fatalf("reading golden %s: %v", golden, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("fixed %s differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-				filepath.Base(file), filepath.Base(golden), got, want)
 		}
 	}
 }

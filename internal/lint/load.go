@@ -1,6 +1,6 @@
 package lint
 
-// Package loading for standalone runs: `go list -export -deps -json`
+// Package loading: `go list -export -deps -json`
 // enumerates the target packages and compiles export data for every
 // dependency (stdlib included), then the targets are parsed and
 // type-checked in the dependency order go list already guarantees.
@@ -26,7 +26,7 @@ import (
 	"sync"
 )
 
-// Program is every package of one standalone lint run, in dependency
+// Program is every package of one lint run, in dependency
 // order (dependencies before dependents).
 type Program struct {
 	Fset     *token.FileSet
@@ -217,24 +217,6 @@ func LoadShared(dir string, patterns ...string) (*Program, error) {
 	sharedMu.Unlock()
 	sl.once.Do(func() { sl.prog, sl.err = Load(dir, patterns...) })
 	return sl.prog, sl.err
-}
-
-// InvalidateShared drops every LoadShared memo entry for dir. Callers
-// that mutate the tree on disk (fplint -fix, test scaffolding) must
-// invalidate before the next LoadShared, or they get the pre-edit
-// Program back.
-func InvalidateShared(dir string) {
-	key := dir
-	if abs, err := filepath.Abs(dir); err == nil {
-		key = abs
-	}
-	sharedMu.Lock()
-	defer sharedMu.Unlock()
-	for k := range sharedProgs {
-		if k == key || strings.HasPrefix(k, key+"\x00") {
-			delete(sharedProgs, k)
-		}
-	}
 }
 
 func newInfo() *types.Info {

@@ -2,10 +2,9 @@ package lint
 
 // SARIF 2.1.0 output (`fplint -format sarif` / `-sarif FILE`), the
 // interchange format GitHub code scanning ingests: one run, one rule
-// per analyzer, one result per finding, suggested fixes encoded as
-// artifact-change replacements. Only the fields code scanning and the
-// SARIF validators require are emitted; URIs are module-root-relative
-// so the report is machine-independent.
+// per analyzer, one result per finding. Only the fields code scanning
+// and the SARIF validators require are emitted; URIs are
+// module-root-relative so the report is machine-independent.
 
 import (
 	"encoding/json"
@@ -51,7 +50,6 @@ type sarifResult struct {
 	Level     string          `json:"level"`
 	Message   sarifMessage    `json:"message"`
 	Locations []sarifLocation `json:"locations"`
-	Fixes     []sarifFix      `json:"fixes,omitempty"`
 }
 
 type sarifLocation struct {
@@ -70,23 +68,6 @@ type sarifArtifact struct {
 type sarifRegion struct {
 	StartLine   int `json:"startLine,omitempty"`
 	StartColumn int `json:"startColumn,omitempty"`
-	CharOffset  int `json:"charOffset,omitempty"`
-	CharLength  int `json:"charLength,omitempty"`
-}
-
-type sarifFix struct {
-	Description     sarifMessage          `json:"description"`
-	ArtifactChanges []sarifArtifactChange `json:"artifactChanges"`
-}
-
-type sarifArtifactChange struct {
-	ArtifactLocation sarifArtifact      `json:"artifactLocation"`
-	Replacements     []sarifReplacement `json:"replacements"`
-}
-
-type sarifReplacement struct {
-	DeletedRegion   sarifRegion   `json:"deletedRegion"`
-	InsertedContent *sarifMessage `json:"insertedContent,omitempty"`
 }
 
 // WriteSARIF encodes diags as one SARIF 2.1.0 run. analyzers supplies
@@ -110,7 +91,7 @@ func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnos
 	}
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		res := sarifResult{
+		results = append(results, sarifResult{
 			RuleID:    d.Analyzer,
 			RuleIndex: ruleIndex[d.Analyzer],
 			Level:     "error",
@@ -119,31 +100,7 @@ func WriteSARIF(w io.Writer, root string, analyzers []*Analyzer, diags []Diagnos
 				ArtifactLocation: sarifArtifact{URI: relURI(d.Pos.Filename)},
 				Region:           &sarifRegion{StartLine: d.Pos.Line, StartColumn: d.Pos.Column},
 			}}},
-		}
-		for _, f := range d.Fixes {
-			byFile := map[string][]sarifReplacement{}
-			var order []string
-			for _, e := range f.Edits {
-				uri := relURI(e.Filename)
-				if _, ok := byFile[uri]; !ok {
-					order = append(order, uri)
-				}
-				rep := sarifReplacement{DeletedRegion: sarifRegion{CharOffset: e.Start, CharLength: e.End - e.Start}}
-				if e.NewText != "" {
-					rep.InsertedContent = &sarifMessage{Text: e.NewText}
-				}
-				byFile[uri] = append(byFile[uri], rep)
-			}
-			fix := sarifFix{Description: sarifMessage{Text: f.Message}}
-			for _, uri := range order {
-				fix.ArtifactChanges = append(fix.ArtifactChanges, sarifArtifactChange{
-					ArtifactLocation: sarifArtifact{URI: uri},
-					Replacements:     byFile[uri],
-				})
-			}
-			res.Fixes = append(res.Fixes, fix)
-		}
-		results = append(results, res)
+		})
 	}
 	log := sarifLog{
 		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",

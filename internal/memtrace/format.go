@@ -1,7 +1,9 @@
 package memtrace
 
-// Trace format v2: a streaming-friendly, seekable container for
-// billion-reference traces.
+// The binary trace format (version 2, the only version): a
+// streaming-friendly, seekable container for billion-reference traces.
+// Version 1, a flat 22-byte-per-record dump with no checksum or index,
+// is retired; readers reject it as corrupt.
 //
 // Layout (all integers varint unless noted):
 //
@@ -34,6 +36,9 @@ import (
 )
 
 const (
+	magic         = uint32(0xF007C0DE) // "FOOTCODE"
+	formatVersion = uint16(2)
+
 	chunkMarker = 0x01
 	indexMarker = 0x00
 	// DefaultChunkRecords is WriterV2's records-per-chunk default: big
@@ -59,9 +64,9 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendRecordV2 delta-encodes r against the previous record's PC and
+// appendRecord delta-encodes r against the previous record's PC and
 // address, updating the baselines.
-func appendRecordV2(buf []byte, r Record, prevPC, prevAddr *uint64) []byte {
+func appendRecord(buf []byte, r Record, prevPC, prevAddr *uint64) []byte {
 	buf = binary.AppendUvarint(buf, zigzag(int64(uint64(r.PC)-*prevPC)))
 	buf = binary.AppendUvarint(buf, zigzag(int64(uint64(r.Addr)-*prevAddr)))
 	flags := byte(0)
@@ -130,14 +135,14 @@ func (d *chunkDecoder) next() (Record, error) {
 	}, nil
 }
 
-// v2Chunk is one chunk-index entry.
-type v2Chunk struct {
+// chunkEntry is one chunk-index entry.
+type chunkEntry struct {
 	offset  uint64 // file offset of the chunk's marker byte
 	start   uint64 // index of the chunk's first record
 	records uint64
 }
 
-// WriterV2 streams records to an io.Writer in trace format v2,
+// WriterV2 streams records to an io.Writer in the trace format,
 // accumulating the chunk index in memory and appending it on Close.
 type WriterV2 struct {
 	w         io.Writer
@@ -147,7 +152,7 @@ type WriterV2 struct {
 	prevPC    uint64
 	prevAddr  uint64
 	offset    uint64
-	index     []v2Chunk
+	index     []chunkEntry
 	wrote     uint64
 	started   bool
 	closed    bool
@@ -185,7 +190,7 @@ func (tw *WriterV2) write(p []byte) error {
 func (tw *WriterV2) header() error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint16(hdr[4:], version2)
+	binary.LittleEndian.PutUint16(hdr[4:], formatVersion)
 	return tw.write(hdr[:])
 }
 
@@ -201,7 +206,7 @@ func (tw *WriterV2) Write(r Record) error {
 		}
 		tw.started = true
 	}
-	tw.buf = appendRecordV2(tw.buf, r, &tw.prevPC, &tw.prevAddr)
+	tw.buf = appendRecord(tw.buf, r, &tw.prevPC, &tw.prevAddr)
 	tw.curRecs++
 	tw.wrote++
 	if tw.curRecs >= tw.chunkRecs || len(tw.buf) >= writerChunkFlushBytes {
@@ -218,7 +223,7 @@ func (tw *WriterV2) flushChunk() error {
 	frame = binary.AppendUvarint(frame, uint64(len(tw.buf)))
 	frame = append(frame, tw.buf...)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(tw.buf, crcTable))
-	tw.index = append(tw.index, v2Chunk{offset: tw.offset, records: uint64(tw.curRecs)})
+	tw.index = append(tw.index, chunkEntry{offset: tw.offset, records: uint64(tw.curRecs)})
 	if err := tw.write(frame); err != nil {
 		return err
 	}
@@ -302,15 +307,61 @@ func readChunkFrame(r *bufio.Reader, dst []byte) (payload []byte, records int, e
 	return dst, int(recs), nil
 }
 
-// nextV2 advances the streaming reader through chunk frames.
-func (tr *Reader) nextV2() (Record, bool) {
+// Reader streams a trace from a plain io.Reader; it implements Source.
+// Chunk frames are self-framing and CRC-protected, so the trailing
+// chunk index is only cross-checked at the end, never needed for
+// decoding (FileReader uses it to seek).
+type Reader struct {
+	r      *bufio.Reader
+	err    error
+	opened bool
+
+	// chunk is the current chunk's decoded payload and per-chunk delta
+	// baselines.
+	chunk    chunkDecoder
+	read     uint64 // records returned so far
+	finished bool   // index frame reached
+}
+
+// NewReader wraps r.
+func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReaderSize(r, 1<<16)} }
+
+// Err returns the first decoding error other than io.EOF, if any.
+func (tr *Reader) Err() error { return tr.err }
+
+// readHeader consumes and validates the 8-byte trace header.
+func readHeader(r io.Reader) error {
+	var hdr [8]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return corruptf("reading header: %w", err)
+	}
+	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
+		return corruptf("bad magic; not a trace file")
+	}
+	if v := binary.LittleEndian.Uint16(hdr[4:]); v != formatVersion {
+		return corruptf("unsupported trace version %d", v)
+	}
+	return nil
+}
+
+// Next implements Source, advancing through chunk frames.
+func (tr *Reader) Next() (Record, bool) {
+	if tr.err != nil {
+		return Record{}, false
+	}
+	if !tr.opened {
+		if tr.err = readHeader(tr.r); tr.err != nil {
+			return Record{}, false
+		}
+		tr.opened = true
+	}
 	for tr.chunk.left == 0 {
 		if tr.finished {
 			return Record{}, false
 		}
 		marker, err := tr.r.ReadByte()
 		if err != nil {
-			tr.err = corruptf("v2 trace truncated (missing chunk index): %w", err)
+			tr.err = corruptf("trace truncated (missing chunk index): %w", err)
 			return Record{}, false
 		}
 		switch marker {
@@ -350,7 +401,8 @@ func (tr *Reader) checkIndex() {
 		return
 	}
 	for i := uint64(0); i < n; i++ {
-		if _, err := binary.ReadUvarint(tr.r); err == nil {
+		_, err := binary.ReadUvarint(tr.r)
+		if err == nil {
 			_, err = binary.ReadUvarint(tr.r)
 		}
 		if err != nil {
@@ -368,50 +420,42 @@ func (tr *Reader) checkIndex() {
 	}
 }
 
-// FileReader is the random-access face of the trace formats: a Source
-// over an io.ReadSeeker that can jump to any record index — O(1) for
-// fixed-width v1 files, one chunk decode for indexed v2 files.
+// FileReader is the random-access face of the trace format: a Source
+// over an io.ReadSeeker that can jump to any record index with one
+// chunk decode, locating the chunk through the trailing index.
 type FileReader struct {
 	rs      io.ReadSeeker
 	br      *bufio.Reader
-	version uint16
 	total   uint64
 	size    int64  // file size in bytes
+	dataEnd uint64 // file offset of the index frame, where chunk frames end
 	next    uint64 // index of the record the next Next returns
 	limit   uint64 // Next stops at this record index (total, or a section end)
 	err     error
 
-	// v2 state.
-	chunks []v2Chunk
+	chunks []chunkEntry
 	cur    int // chunks[cur] is loaded in chunk; len(chunks) = exhausted
 	chunk  chunkDecoder
 }
 
-// NewFileReader opens a trace file of either version, reading the v2
-// chunk index from the trailer. v2 files without a valid index are
-// rejected — stream them with NewReader instead.
+// NewFileReader opens a trace file, reading the chunk index from the
+// trailer. Files without a valid index are rejected — stream them with
+// NewReader instead.
 func NewFileReader(rs io.ReadSeeker) (*FileReader, error) {
 	fr := &FileReader{rs: rs, br: bufio.NewReaderSize(rs, 1<<16)}
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
 	fr.br.Reset(rs)
-	v, err := readHeader(fr.br)
-	if err != nil {
+	if err := readHeader(fr.br); err != nil {
 		return nil, err
 	}
-	fr.version = v
 	size, err := rs.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, err
 	}
 	fr.size = size
-	if v == version1 {
-		if (size-8)%22 != 0 {
-			return nil, corruptf("v1 trace of %d bytes is truncated mid-record", size)
-		}
-		fr.total = uint64(size-8) / 22
-	} else if err := fr.loadIndex(size); err != nil {
+	if err := fr.loadIndex(size); err != nil {
 		return nil, err
 	}
 	fr.limit = fr.total
@@ -438,9 +482,9 @@ func (fr *FileReader) OpenSection(start, n uint64) (*FileReader, error) {
 	}
 	sub := &FileReader{
 		rs:      io.NewSectionReader(ra, 0, fr.size),
-		version: fr.version,
 		total:   fr.total,
 		size:    fr.size,
+		dataEnd: fr.dataEnd,
 		limit:   start + n,
 		chunks:  fr.chunks,
 	}
@@ -448,10 +492,10 @@ func (fr *FileReader) OpenSection(start, n uint64) (*FileReader, error) {
 	return sub, sub.SeekRecord(start)
 }
 
-// loadIndex locates and decodes the v2 chunk index from the footer.
+// loadIndex locates and decodes the chunk index from the footer.
 func (fr *FileReader) loadIndex(size int64) error {
 	if size < 8+footerBytes {
-		return corruptf("v2 trace of %d bytes has no room for a footer", size)
+		return corruptf("trace of %d bytes has no room for a footer", size)
 	}
 	var footer [footerBytes]byte
 	if _, err := fr.rs.Seek(size-footerBytes, io.SeekStart); err != nil {
@@ -468,6 +512,7 @@ func (fr *FileReader) loadIndex(size int64) error {
 	if idxStart < 8 {
 		return corruptf("index size %d overruns the file", idxSize)
 	}
+	fr.dataEnd = uint64(idxStart)
 	if _, err := fr.rs.Seek(idxStart, io.SeekStart); err != nil {
 		return err
 	}
@@ -483,10 +528,13 @@ func (fr *FileReader) loadIndex(size int64) error {
 	if err != nil {
 		return corruptf("reading chunk count: %w", err)
 	}
-	if int64(n) > size {
-		return corruptf("chunk count %d exceeds file size", n)
+	if n > uint64(idxSize)/2 {
+		// Each entry takes at least two bytes, so a larger count is
+		// corruption, and allocating for it would let a small file
+		// claim gigabytes.
+		return corruptf("chunk count %d cannot fit in a %d-byte index", n, idxSize)
 	}
-	fr.chunks = make([]v2Chunk, 0, n)
+	fr.chunks = make([]chunkEntry, 0, n)
 	var offset, start uint64
 	for i := uint64(0); i < n; i++ {
 		d, err := binary.ReadUvarint(fr.br)
@@ -501,7 +549,7 @@ func (fr *FileReader) loadIndex(size int64) error {
 		if offset < 8 || int64(offset) >= idxStart || recs == 0 {
 			return corruptf("chunk %d (offset %d, %d records) is outside the data section", i, offset, recs)
 		}
-		fr.chunks = append(fr.chunks, v2Chunk{offset: offset, start: start, records: recs})
+		fr.chunks = append(fr.chunks, chunkEntry{offset: offset, start: start, records: recs})
 		start += recs
 	}
 	var buf [8]byte
@@ -518,11 +566,8 @@ func (fr *FileReader) loadIndex(size int64) error {
 // Len returns the total record count.
 func (fr *FileReader) Len() uint64 { return fr.total }
 
-// Version returns the trace format version (1 or 2).
-func (fr *FileReader) Version() uint16 { return fr.version }
-
-// Chunks returns the v2 chunk index as (offset, first record, record
-// count) triples; nil for v1 traces. The slice is the reader's own.
+// Chunks returns the chunk index as (offset, first record, record
+// count) triples.
 func (fr *FileReader) Chunks() (offsets, starts, counts []uint64) {
 	for _, c := range fr.chunks {
 		offsets = append(offsets, c.offset)
@@ -601,14 +646,6 @@ func (fr *FileReader) SeekRecord(i uint64) error {
 	if i > fr.total {
 		return corruptf("seek to record %d beyond trace of %d", i, fr.total)
 	}
-	if fr.version == version1 {
-		if err := fr.seekTo(8 + 22*i); err != nil {
-			return err
-		}
-		fr.err = nil
-		fr.next = i
-		return nil
-	}
 	if i == fr.total {
 		fr.cur = len(fr.chunks)
 		fr.chunk.reset(fr.chunk.payload[:0], 0)
@@ -633,35 +670,25 @@ func (fr *FileReader) SeekRecord(i uint64) error {
 	return nil
 }
 
-// Verify is the trace fsck (tracegen -verify): it walks the whole
-// file — every chunk frame for v2 (CRC, framing, full record decode,
-// index agreement), every fixed-width record for v1 — and returns a
-// typed corruption error (fault.ErrCorruptTrace) naming the first bad
-// chunk and its file offset, or nil for a clean file. On success the
-// reader is repositioned at record 0; after a corruption it is
+// Verify is the trace fsck (tracegen -verify): it walks every chunk
+// frame of the file (CRC, framing, full record decode, index
+// agreement) and returns a typed corruption error
+// (fault.ErrCorruptTrace) naming the first bad chunk and its file
+// offset, or nil for a clean file. Index agreement includes layout:
+// the indexed frames must tile the data section from the header to the
+// index, so an index that repeats, skips or overlaps frames fails
+// instead of replaying records the stream does not hold. On success
+// the reader is repositioned at record 0; after a corruption it is
 // poisoned like any other decode failure.
 func (fr *FileReader) Verify() error {
-	if fr.version == version1 {
-		if err := fr.SeekRecord(0); err != nil {
-			return err
-		}
-		var n uint64
-		for {
-			if _, ok := fr.Next(); !ok {
-				break
-			}
-			n++
-		}
-		if fr.err != nil {
-			return fr.err
-		}
-		if n != fr.total {
-			return corruptf("verify: v1 trace delivered %d of %d records", n, fr.total)
-		}
-		return fr.SeekRecord(0)
-	}
+	next := uint64(8) // the first frame follows the header
 	for i := range fr.chunks {
 		c := fr.chunks[i]
+		if c.offset != next {
+			err := corruptf("verify: chunk %d at offset %d, but the previous frame ends at %d", i, c.offset, next)
+			fr.fail(err)
+			return err
+		}
 		if err := fr.loadChunk(i); err != nil {
 			fr.fail(err)
 			return corruptf("verify: chunk %d at offset %d: %w", i, c.offset, err)
@@ -678,12 +705,27 @@ func (fr *FileReader) Verify() error {
 			fr.fail(err)
 			return err
 		}
+		next += frameBytes(c.records, len(fr.chunk.payload))
+	}
+	if next != fr.dataEnd {
+		err := corruptf("verify: chunk frames end at offset %d, but the index starts at %d", next, fr.dataEnd)
+		fr.fail(err)
+		return err
 	}
 	return fr.SeekRecord(0)
 }
 
+// frameBytes is the encoded size of a chunk frame as WriterV2 writes
+// it: marker, record count, payload length, payload, CRC.
+func frameBytes(records uint64, payload int) uint64 {
+	var b [binary.MaxVarintLen64]byte
+	n := 1 + binary.PutUvarint(b[:], records) + binary.PutUvarint(b[:], uint64(payload)) + payload + 4
+	return uint64(n)
+}
+
 // SkipRecords discards up to n records by seeking, returning how many
-// were skipped (fewer only at end-of-trace).
+// were skipped (fewer only at end-of-trace). A failed seek poisons the
+// reader, so Err reports it to callers that skip through Skip.
 func (fr *FileReader) SkipRecords(n int) (int, error) {
 	if n <= 0 || fr.err != nil {
 		return 0, fr.err
@@ -693,6 +735,7 @@ func (fr *FileReader) SkipRecords(n int) (int, error) {
 		k = left
 	}
 	if err := fr.SeekRecord(fr.next + k); err != nil {
+		fr.fail(err)
 		return 0, err
 	}
 	return int(k), nil
@@ -702,15 +745,6 @@ func (fr *FileReader) SkipRecords(n int) (int, error) {
 func (fr *FileReader) Next() (Record, bool) {
 	if fr.err != nil || fr.next >= fr.limit {
 		return Record{}, false
-	}
-	if fr.version == version1 {
-		var buf [22]byte
-		if _, err := io.ReadFull(fr.br, buf[:]); err != nil {
-			fr.fail(corruptf("reading record %d: %w", fr.next, err))
-			return Record{}, false
-		}
-		fr.next++
-		return decodeV1(buf), true
 	}
 	if fr.chunk.left == 0 {
 		if fr.cur+1 >= len(fr.chunks) {

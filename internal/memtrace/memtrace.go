@@ -7,17 +7,15 @@
 // predictor is indexed by PC & offset, §3.1), the core it came from,
 // and whether it is a read or a write.
 //
-// Traces can live in memory (Slice) or on disk in a compact binary
-// encoding (Writer/Reader), and are always consumed through the Source
+// Traces can live in memory (Slice) or on disk in the chunked binary
+// trace format (format.go: WriterV2 writes it, Reader streams it,
+// FileReader seeks in it), and are always consumed through the Source
 // interface so cache models do not care where records come from.
 package memtrace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"fpcache/internal/fault"
 )
@@ -123,9 +121,9 @@ func (l *Limit) Next() (Record, bool) {
 }
 
 // Skip discards up to n records from src, returning how many were
-// skipped (fewer than n only when the source is exhausted). Sources
-// that support random access (FileReader over an indexed v2 trace)
-// skip by seeking instead of decoding.
+// skipped (fewer than n only when the source is exhausted or fails;
+// a failing source reports why through its Err). Sources that support
+// random access (FileReader) skip by seeking instead of decoding.
 func Skip(src Source, n int) int {
 	if n <= 0 {
 		return 0
@@ -140,148 +138,4 @@ func Skip(src Source, n int) int {
 		}
 	}
 	return n
-}
-
-const (
-	magic    = uint32(0xF007C0DE) // "FOOTCODE"
-	version1 = uint16(1)
-	version2 = uint16(2)
-)
-
-// Writer streams records to an io.Writer in the binary trace format.
-type Writer struct {
-	w       *bufio.Writer
-	wrote   uint64
-	started bool
-}
-
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriterSize(w, 1<<16)} }
-
-func (tw *Writer) header() error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint16(hdr[4:], version1)
-	_, err := tw.w.Write(hdr[:])
-	return err
-}
-
-// Write appends one record.
-func (tw *Writer) Write(r Record) error {
-	if !tw.started {
-		if err := tw.header(); err != nil {
-			return err
-		}
-		tw.started = true
-	}
-	var buf [22]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(r.PC))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.Addr))
-	buf[16] = r.Core
-	if r.Write {
-		buf[17] = 1
-	}
-	binary.LittleEndian.PutUint32(buf[18:], r.Gap)
-	if _, err := tw.w.Write(buf[:]); err != nil {
-		return err
-	}
-	tw.wrote++
-	return nil
-}
-
-// Flush commits buffered records. An empty trace still gets a header.
-func (tw *Writer) Flush() error {
-	if !tw.started {
-		if err := tw.header(); err != nil {
-			return err
-		}
-		tw.started = true
-	}
-	return tw.w.Flush()
-}
-
-// Count returns the number of records written so far.
-func (tw *Writer) Count() uint64 { return tw.wrote }
-
-// Reader decodes the binary trace formats; it implements Source.
-// Both versions stream: v1's flat records and v2's chunked frames
-// (v2.go) decode from a plain io.Reader — the trailing v2 chunk index
-// is only needed for seeking (FileReader).
-type Reader struct {
-	r       *bufio.Reader
-	err     error
-	opened  bool
-	version uint16
-
-	// v2 streaming state: the current chunk's decoded payload and the
-	// per-chunk delta baselines.
-	chunk    chunkDecoder
-	read     uint64 // records returned so far
-	finished bool   // v2 index frame reached
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReaderSize(r, 1<<16)} }
-
-// Err returns the first decoding error other than io.EOF, if any.
-func (tr *Reader) Err() error { return tr.err }
-
-func (tr *Reader) open() bool {
-	v, err := readHeader(tr.r)
-	if err != nil {
-		tr.err = err
-		return false
-	}
-	tr.version = v
-	tr.opened = true
-	return true
-}
-
-// Next implements Source.
-func (tr *Reader) Next() (Record, bool) {
-	if tr.err != nil {
-		return Record{}, false
-	}
-	if !tr.opened && !tr.open() {
-		return Record{}, false
-	}
-	if tr.version == version2 {
-		return tr.nextV2()
-	}
-	var buf [22]byte
-	if _, err := io.ReadFull(tr.r, buf[:]); err != nil {
-		if err != io.EOF {
-			tr.err = corruptf("reading record: %w", err)
-		}
-		return Record{}, false
-	}
-	return decodeV1(buf), true
-}
-
-// readHeader consumes and validates the 8-byte trace header shared by
-// both format versions, returning the version.
-func readHeader(r io.Reader) (uint16, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, corruptf("reading header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != magic {
-		return 0, corruptf("bad magic; not a trace file")
-	}
-	v := binary.LittleEndian.Uint16(hdr[4:])
-	if v != version1 && v != version2 {
-		return 0, corruptf("unsupported trace version %d", v)
-	}
-	return v, nil
-}
-
-// decodeV1 decodes one fixed-width v1 record.
-func decodeV1(buf [22]byte) Record {
-	return Record{
-		PC:    PC(binary.LittleEndian.Uint64(buf[0:])),
-		Addr:  Addr(binary.LittleEndian.Uint64(buf[8:])),
-		Core:  buf[16],
-		Write: buf[17] != 0,
-		Gap:   binary.LittleEndian.Uint32(buf[18:]),
-	}
 }

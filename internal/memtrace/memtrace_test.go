@@ -59,13 +59,13 @@ func TestLimit(t *testing.T) {
 func TestWriterReaderRoundtrip(t *testing.T) {
 	recs := sample(100)
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriterV2(&buf)
 	for _, r := range recs {
 		if err := w.Write(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Count() != 100 {
@@ -83,8 +83,7 @@ func TestWriterReaderRoundtrip(t *testing.T) {
 
 func TestEmptyTraceRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
+	if err := NewWriterV2(&buf).Close(); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
@@ -118,14 +117,16 @@ func TestReaderRejectsShortHeader(t *testing.T) {
 
 func TestReaderTruncatedRecord(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewWriterV2(&buf)
 	if err := w.Write(Record{Addr: 42}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-5]
+	// Cut inside the record: the 8-byte header, the chunk frame's
+	// marker, record count and payload length, then 2 payload bytes.
+	trunc := buf.Bytes()[:8+3+2]
 	r := NewReader(bytes.NewReader(trunc))
 	if _, ok := r.Next(); ok {
 		t.Fatal("truncated record decoded")
@@ -140,11 +141,11 @@ func TestPropertyRecordRoundtrip(t *testing.T) {
 	f := func(pc, addr uint64, core uint8, write bool, gap uint32) bool {
 		rec := Record{PC: PC(pc), Addr: Addr(addr), Core: core, Write: write, Gap: gap}
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := NewWriterV2(&buf)
 		if err := w.Write(rec); err != nil {
 			return false
 		}
-		if err := w.Flush(); err != nil {
+		if err := w.Close(); err != nil {
 			return false
 		}
 		r := NewReader(&buf)

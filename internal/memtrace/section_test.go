@@ -8,29 +8,14 @@ import (
 	"testing"
 )
 
-// v1Bytes encodes records into a v1 trace.
-func v1Bytes(t *testing.T, recs []Record) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatalf("Write: %v", err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// TestOpenSectionRoundTrip: any [start, start+n) section of either
-// format delivers exactly the serial reader's records for that range.
+// TestOpenSectionRoundTrip: any [start, start+n) section, of a
+// many-chunk or a single-chunk trace, delivers exactly the serial
+// reader's records for that range.
 func TestOpenSectionRoundTrip(t *testing.T) {
 	recs := genRecords(1000, 7)
 	for name, data := range map[string][]byte{
-		"v1": v1Bytes(t, recs),
-		"v2": writeV2(t, recs, 64),
+		"64/chunk":  writeV2(t, recs, 64),
+		"one chunk": writeV2(t, recs, len(recs)),
 	} {
 		fr, err := NewFileReader(bytes.NewReader(data))
 		if err != nil {

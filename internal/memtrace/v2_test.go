@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,8 +103,8 @@ func TestV2FileReaderRoundTripAndSeek(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFileReader: %v", err)
 	}
-	if fr.Len() != 1000 || fr.Version() != 2 {
-		t.Fatalf("Len=%d Version=%d", fr.Len(), fr.Version())
+	if fr.Len() != 1000 {
+		t.Fatalf("Len=%d", fr.Len())
 	}
 	got, err := drain(fr)
 	if err != nil || len(got) != 1000 {
@@ -143,75 +144,41 @@ func TestV2FileReaderRoundTripAndSeek(t *testing.T) {
 	}
 }
 
-func TestV1FileReaderSeek(t *testing.T) {
-	recs := genRecords(200, 3)
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewFileReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewFileReader(v1): %v", err)
-	}
-	if fr.Len() != 200 || fr.Version() != 1 {
-		t.Fatalf("Len=%d Version=%d", fr.Len(), fr.Version())
-	}
-	for _, i := range []uint64{0, 137, 199} {
-		if err := fr.SeekRecord(i); err != nil {
-			t.Fatalf("SeekRecord(%d): %v", i, err)
-		}
-		if r, ok := fr.Next(); !ok || r != recs[i] {
-			t.Fatalf("Seek(%d) -> %+v ok=%v", i, r, ok)
-		}
-	}
-	if err := fr.SeekRecord(0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := drain(fr)
-	if err != nil || len(got) != 200 {
-		t.Fatalf("full drain: %d records, err %v", len(got), err)
-	}
+// v1Trace is a file in the retired version-1 layout: the common
+// header with version 1, then flat 22-byte records.
+func v1Trace(records int) []byte {
+	data := make([]byte, 8+22*records)
+	binary.LittleEndian.PutUint32(data[0:], magic)
+	binary.LittleEndian.PutUint16(data[4:], 1)
+	return data
 }
 
-// TestCrossVersionReads pins that both reader types read both formats.
+// TestCrossVersionReads pins which versions the readers accept: both
+// reader types read the current format, and both reject a version-1
+// file as a typed corrupt trace instead of decoding it.
 func TestCrossVersionReads(t *testing.T) {
 	recs := genRecords(300, 11)
-	var v1 bytes.Buffer
-	w1 := NewWriter(&v1)
-	for _, r := range recs {
-		if err := w1.Write(r); err != nil {
-			t.Fatal(err)
-		}
+	data := writeV2(t, recs, 77)
+	got, err := drain(NewReader(bytes.NewReader(data)))
+	if err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("stream: %d records, err %v", len(got), err)
 	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
+	fr, err := NewFileReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("NewFileReader: %v", err)
 	}
-	v2 := writeV2(t, recs, 77)
+	if got, err = drain(fr); err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("file: %d records, err %v", len(got), err)
+	}
 
-	for name, data := range map[string][]byte{"v1": v1.Bytes(), "v2": v2} {
-		got, err := drain(NewReader(bytes.NewReader(data)))
-		if err != nil || len(got) != 300 {
-			t.Fatalf("%s stream: %d records, err %v", name, len(got), err)
-		}
-		fr, err := NewFileReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s NewFileReader: %v", name, err)
-		}
-		got, err = drain(fr)
-		if err != nil || len(got) != 300 {
-			t.Fatalf("%s file: %d records, err %v", name, len(got), err)
-		}
-		for i := range got {
-			if got[i] != recs[i] {
-				t.Fatalf("%s record %d mismatch", name, i)
-			}
-		}
+	v1 := v1Trace(10)
+	got, err = drain(NewReader(bytes.NewReader(v1)))
+	if len(got) != 0 || !errors.Is(err, fault.ErrCorruptTrace) || !strings.Contains(err.Error(), "unsupported trace version 1") {
+		t.Fatalf("stream of a v1 file: %d records, err %v", len(got), err)
+	}
+	if _, err := NewFileReader(bytes.NewReader(v1)); !errors.Is(err, fault.ErrCorruptTrace) ||
+		!strings.Contains(err.Error(), "unsupported trace version 1") {
+		t.Fatalf("NewFileReader of a v1 file: err %v", err)
 	}
 }
 
@@ -278,6 +245,20 @@ func TestV2CorruptIndex(t *testing.T) {
 	// The streaming reader cross-checks the same total.
 	if _, err := drain(NewReader(bytes.NewReader(bad))); err == nil {
 		t.Fatal("streaming reader accepted a wrong record total")
+	}
+
+	// A chunk count the index frame has no room for is rejected before
+	// anything is allocated for it.
+	bad = make([]byte, 4096)
+	binary.LittleEndian.PutUint32(bad[0:], magic)
+	binary.LittleEndian.PutUint16(bad[4:], formatVersion)
+	idx := binary.AppendUvarint([]byte{indexMarker}, 1000)
+	copy(bad[len(bad)-footerBytes-len(idx):], idx)
+	binary.LittleEndian.PutUint32(bad[len(bad)-8:], uint32(len(idx)))
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], indexMagic)
+	if _, err := NewFileReader(bytes.NewReader(bad)); !errors.Is(err, fault.ErrCorruptTrace) ||
+		!strings.Contains(err.Error(), "cannot fit") {
+		t.Fatalf("NewFileReader of an oversized chunk count: %v", err)
 	}
 }
 
@@ -352,22 +333,37 @@ func TestVerifyCleanAndCorrupt(t *testing.T) {
 		t.Fatalf("verify error does not name the corrupt chunk: %v", verr)
 	}
 
-	// Verify also covers v1 files.
-	var v1 bytes.Buffer
-	w := NewWriter(&v1)
-	for _, r := range recs[:50] {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr3, err := NewFileReader(bytes.NewReader(v1.Bytes()))
+	// Skipping into the corrupt chunk fails, and the reader keeps the
+	// typed error for callers that skip through Skip.
+	fr3, err := NewFileReader(bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fr3.Verify(); err != nil {
-		t.Fatalf("clean v1 trace failed verify: %v", err)
+	if k := Skip(fr3, 70); k != 0 || !errors.Is(fr3.Err(), fault.ErrCorruptTrace) {
+		t.Fatalf("Skip into a corrupt chunk: skipped %d, err %v", k, fr3.Err())
+	}
+}
+
+// TestVerifyRejectsRepeatedChunk: an index whose second entry points
+// back at the first chunk frame opens and reads cleanly (each frame
+// checks out), but replays chunk 0 as records 4-7; Verify must reject
+// the layout, as the streaming reader sees different records.
+func TestVerifyRejectsRepeatedChunk(t *testing.T) {
+	data := writeV2(t, genRecords(8, 1), 4)
+	idxSize := int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	idx := data[len(data)-8-idxSize:]
+	// marker, chunk count, {offset delta, records} x 2, total: every
+	// varint here is one byte, so idx[4] is the second offset delta.
+	if idx[0] != indexMarker || idx[1] != 2 || idx[2] != 8 || idx[3] != 4 {
+		t.Fatalf("unexpected index layout % x", idx[:6])
+	}
+	idx[4] = 0
+	fr, err := NewFileReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fr.Verify()
+	if !errors.Is(err, fault.ErrCorruptTrace) || !strings.Contains(err.Error(), "chunk 1 at offset 8") {
+		t.Fatalf("Verify of a repeated chunk: %v", err)
 	}
 }

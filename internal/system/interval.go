@@ -144,11 +144,12 @@ func (r *IntervalReport) ScaleFactor() float64 {
 }
 
 // PlanIntervals splits the measured region of a trace into k
-// intervals. Boundaries snap to v2 chunk starts where the trace has an
-// index — an interval decode then never pays a partial leading chunk —
-// and fall back to exact equal splits for v1 traces. Degenerate
-// boundaries produced by snapping collapse, so the plan may hold fewer
-// than k intervals but always covers the region exactly once.
+// intervals. Boundaries snap to the nearest chunk start strictly inside
+// the region — an interval decode then never pays a partial leading
+// chunk — and stay at the exact equal split when no chunk start falls
+// inside. Degenerate boundaries produced by snapping collapse, so the
+// plan may hold fewer than k intervals but always covers the region
+// exactly once.
 func PlanIntervals(tr *memtrace.FileReader, warmupRefs, maxRefs, k int) ([]Interval, error) {
 	total := tr.Len()
 	w := uint64(0)
