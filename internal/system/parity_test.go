@@ -1,7 +1,12 @@
 package system
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"fpcache/internal/core"
@@ -10,12 +15,129 @@ import (
 	"fpcache/internal/testutil"
 )
 
-// The golden parity suite: every pre-refactor design, rebuilt here
-// exactly as the monolithic implementations assembled it, must
-// produce a byte-identical FunctionalResult to the policy-composed
-// engine that BuildDesign now returns. This is the proof obligation
-// of the composable-engine refactor — the monoliths stay in the tree
-// as executable reference specifications for this test.
+var update = flag.Bool("update", false, "rewrite testdata/parity.golden.json from the monolithic reference designs")
+
+// The golden parity suite pins every paper design to frozen outputs:
+// testdata/parity.golden.json holds the FunctionalResult JSON and
+// metadata budget of 9 kinds x 2 workloads x 2 capacities, and the
+// Figure-4 eviction densities of the page design, all written by the
+// monolithic reference implementations. The policy-composed engine
+// that BuildDesign returns must reproduce them byte for byte.
+
+// The parity suite's fixed inputs.
+const (
+	paritySeed        = 7
+	parityScale       = 1.0 / 64
+	parityWarmup      = 40_000
+	parityRefs        = 40_000
+	parityDensityRefs = 30_000
+)
+
+// parityKinds and parityWorkloads span the designs the file pins, in
+// file order (workload, kind, capacity).
+var (
+	parityKinds = []string{
+		KindBaseline, KindBlock, KindPage, KindSubblock,
+		KindFootprint, KindFootprintNoSingleton, KindFootprintUnion,
+		KindHotPage, KindIdeal,
+	}
+	parityWorkloads  = []string{synth.WebSearch, synth.MapReduce}
+	parityCapacities = []int{64, 256}
+)
+
+// parityDesign is one pinned design run. Result holds the exact bytes
+// json.Marshal wrote for the FunctionalResult.
+type parityDesign struct {
+	Workload     string          `json:"workload"`
+	Kind         string          `json:"kind"`
+	PaperMB      int             `json:"paper_mb"`
+	MetadataBits int64           `json:"metadata_bits"`
+	Result       json.RawMessage `json:"result"`
+}
+
+// parityDensity is the ordered demanded-block count of every page the
+// page design evicts over its run (the Figure 4 seam).
+type parityDensity struct {
+	Workload string `json:"workload"`
+	Kind     string `json:"kind"`
+	PaperMB  int    `json:"paper_mb"`
+	Refs     int    `json:"refs"`
+	Demanded []int  `json:"demanded"`
+}
+
+// parityGolden is the whole file.
+type parityGolden struct {
+	Seed    int64          `json:"seed"`
+	Scale   float64        `json:"scale"`
+	Warmup  int            `json:"warmup"`
+	Refs    int            `json:"refs"`
+	Designs []parityDesign `json:"designs"`
+	Density parityDensity  `json:"density"`
+}
+
+var parityPath = filepath.Join("testdata", "parity.golden.json")
+
+// render writes the file with one design per line, so a diff names
+// the design that moved.
+func (g parityGolden) render() ([]byte, error) {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "{\n  \"seed\": %d,\n  \"scale\": %v,\n  \"warmup\": %d,\n  \"refs\": %d,\n  \"designs\": [\n",
+		g.Seed, g.Scale, g.Warmup, g.Refs)
+	for i, d := range g.Designs {
+		line, err := json.Marshal(d)
+		if err != nil {
+			return nil, err
+		}
+		sep := ","
+		if i == len(g.Designs)-1 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "    %s%s\n", line, sep)
+	}
+	density, err := json.Marshal(g.Density)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(&b, "  ],\n  \"density\": %s\n}\n", density)
+	return b.Bytes(), nil
+}
+
+// loadParityGolden reads the file and checks it was written for the
+// suite's inputs. Under -update a missing file reads as empty.
+func loadParityGolden(t *testing.T) parityGolden {
+	t.Helper()
+	raw, err := os.ReadFile(parityPath)
+	if err != nil {
+		if *update && os.IsNotExist(err) {
+			return parityGolden{Seed: paritySeed, Scale: parityScale, Warmup: parityWarmup, Refs: parityRefs}
+		}
+		t.Fatalf("%v (generate it with -update)", err)
+	}
+	var g parityGolden
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatalf("%s: %v", parityPath, err)
+	}
+	if g.Seed != paritySeed || g.Scale != parityScale || g.Warmup != parityWarmup || g.Refs != parityRefs {
+		t.Fatalf("%s pins seed %d scale %v warmup %d refs %d; the suite runs seed %d scale %v warmup %d refs %d",
+			parityPath, g.Seed, g.Scale, g.Warmup, g.Refs, paritySeed, parityScale, parityWarmup, parityRefs)
+	}
+	return g
+}
+
+// storeParityGolden rewrites the file (the -update path).
+func storeParityGolden(t *testing.T, g parityGolden) {
+	t.Helper()
+	out, err := g.render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(parityPath, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // buildMonolith replicates the pre-refactor BuildDesign wiring for a
 // kind (the monolithic constructors, with the same geometry, latency,
@@ -74,87 +196,112 @@ func buildMonolith(t *testing.T, kind string, paperMB int, scale float64) dcache
 	return d
 }
 
-// parityTrace builds a fresh generator at the parity suite's fixed
-// seed; each design run gets its own so state never leaks between
-// runs.
-func parityTrace(t *testing.T, workload string, scale float64) *synth.Generator {
+// buildComposed is the production path.
+func buildComposed(t *testing.T, kind string, paperMB int) dcache.Design {
 	t.Helper()
-	return testutil.SynthTrace(t, workload, 7, scale)
+	d, err := BuildDesign(DesignSpec{Kind: kind, PaperCapacityMB: paperMB, Scale: parityScale})
+	if err != nil {
+		t.Fatalf("%s/%dMB: BuildDesign: %v", kind, paperMB, err)
+	}
+	return d
+}
+
+// parityRun measures one design on a fresh generator at the suite's
+// seed, so state never leaks between runs.
+func parityRun(t *testing.T, d dcache.Design, workload, kind string, mb int) parityDesign {
+	t.Helper()
+	src := testutil.SynthTrace(t, workload, paritySeed, parityScale)
+	res := mustFunctional(RunFunctional(d, src, parityWarmup, parityRefs))
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parityDesign{Workload: workload, Kind: kind, PaperMB: mb, MetadataBits: d.MetadataBits(), Result: raw}
 }
 
 func TestGoldenParityAllDesigns(t *testing.T) {
-	const (
-		scale  = 1.0 / 64
-		warmup = 40_000
-		refs   = 40_000
-	)
-	kinds := []string{
-		KindBaseline, KindBlock, KindPage, KindSubblock,
-		KindFootprint, KindFootprintNoSingleton, KindFootprintUnion,
-		KindHotPage, KindIdeal,
+	g := loadParityGolden(t)
+	var mono []parityDesign
+	for _, wl := range parityWorkloads {
+		for _, kind := range parityKinds {
+			for _, mb := range parityCapacities {
+				mono = append(mono, parityRun(t, buildMonolith(t, kind, mb, parityScale), wl, kind, mb))
+			}
+		}
 	}
-	workloads := []string{synth.WebSearch, synth.MapReduce}
-	for _, wl := range workloads {
-		for _, kind := range kinds {
-			for _, mb := range []int{64, 256} {
-				mono := buildMonolith(t, kind, mb, scale)
-				want := mustFunctional(RunFunctional(mono, parityTrace(t, wl, scale), warmup, refs))
-
-				composed, err := BuildDesign(DesignSpec{Kind: kind, PaperCapacityMB: mb, Scale: scale})
-				if err != nil {
-					t.Fatalf("%s/%s/%dMB: BuildDesign: %v", wl, kind, mb, err)
-				}
-				got := mustFunctional(RunFunctional(composed, parityTrace(t, wl, scale), warmup, refs))
-
-				wantJSON, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotJSON, err := json.Marshal(got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(wantJSON) != string(gotJSON) {
-					t.Errorf("%s/%s/%dMB: composed engine diverges from monolith\nmonolith: %s\ncomposed: %s",
-						wl, kind, mb, wantJSON, gotJSON)
-				}
-				if mono.MetadataBits() != composed.MetadataBits() {
-					t.Errorf("%s/%dMB: metadata budget diverges: monolith %d, composed %d",
-						kind, mb, mono.MetadataBits(), composed.MetadataBits())
-				}
+	if *update {
+		g.Designs = mono
+		storeParityGolden(t, g)
+	}
+	if len(g.Designs) != len(mono) {
+		t.Fatalf("%s pins %d designs, the suite runs %d", parityPath, len(g.Designs), len(mono))
+	}
+	for i, want := range g.Designs {
+		m := mono[i]
+		if want.Workload != m.Workload || want.Kind != m.Kind || want.PaperMB != m.PaperMB {
+			t.Fatalf("%s entry %d is %s/%s/%dMB, the suite runs %s/%s/%dMB",
+				parityPath, i, want.Workload, want.Kind, want.PaperMB, m.Workload, m.Kind, m.PaperMB)
+		}
+		composed := parityRun(t, buildComposed(t, m.Kind, m.PaperMB), m.Workload, m.Kind, m.PaperMB)
+		for _, got := range []struct {
+			who string
+			run parityDesign
+		}{{"monolith", m}, {"composed", composed}} {
+			if !bytes.Equal(got.run.Result, want.Result) {
+				t.Errorf("%s/%s/%dMB: %s result diverges from %s\n got: %s\nwant: %s",
+					m.Workload, m.Kind, m.PaperMB, got.who, parityPath, got.run.Result, want.Result)
+			}
+			if got.run.MetadataBits != want.MetadataBits {
+				t.Errorf("%s/%dMB: %s metadata budget %d, %s pins %d",
+					m.Kind, m.PaperMB, got.who, got.run.MetadataBits, parityPath, want.MetadataBits)
 			}
 		}
 	}
 }
 
-// TestGoldenParityDensityObserver pins the Figure 4 seam: the
-// engine's eviction-density observer fires with the same values as
-// the monolithic page cache's.
+// TestGoldenParityDensityObserver pins the Figure 4 seam: the page
+// design's eviction-density observer fires with the same values, in
+// the same order, as when the file was written.
 func TestGoldenParityDensityObserver(t *testing.T) {
-	const scale = 1.0 / 64
-	collect := func(d dcache.Design, hook func(fn dcache.DensityObserver)) []int {
+	g := loadParityGolden(t)
+	collect := func(d dcache.Design) []int {
 		var out []int
-		hook(func(demanded, pageBlocks int) { out = append(out, demanded) })
-		RunFunctional(d, parityTrace(t, synth.MapReduce, scale), 0, 30_000)
+		obs := func(demanded, pageBlocks int) { out = append(out, demanded) }
+		switch v := d.(type) {
+		case *dcache.PageCache:
+			v.OnEvict = obs
+		case *dcache.Engine:
+			v.OnEvict = obs
+		default:
+			t.Fatalf("%T has no density observer", d)
+		}
+		RunFunctional(d, testutil.SynthTrace(t, synth.MapReduce, paritySeed, parityScale), 0, parityDensityRefs)
 		return out
 	}
-	mono := buildMonolith(t, KindPage, 64, scale).(*dcache.PageCache)
-	want := collect(mono, func(fn dcache.DensityObserver) { mono.OnEvict = fn })
-	d, err := BuildDesign(DesignSpec{Kind: KindPage, PaperCapacityMB: 64, Scale: scale})
-	if err != nil {
-		t.Fatal(err)
+	mono := collect(buildMonolith(t, KindPage, 64, parityScale))
+	if *update {
+		g.Density = parityDensity{Workload: synth.MapReduce, Kind: KindPage, PaperMB: 64, Refs: parityDensityRefs, Demanded: mono}
+		storeParityGolden(t, g)
 	}
-	eng := d.(*dcache.Engine)
-	got := collect(eng, func(fn dcache.DensityObserver) { eng.OnEvict = fn })
-	if len(want) == 0 {
-		t.Fatal("no evictions observed; trace too small for parity check")
+	want := g.Density
+	if want.Workload != synth.MapReduce || want.Kind != KindPage || want.PaperMB != 64 || want.Refs != parityDensityRefs {
+		t.Fatalf("%s pins densities of %s/%s/%dMB over %d refs, the suite observes %s/%s/64MB over %d",
+			parityPath, want.Workload, want.Kind, want.PaperMB, want.Refs, synth.MapReduce, KindPage, parityDensityRefs)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("eviction counts diverge: monolith %d, engine %d", len(want), len(got))
+	if len(want.Demanded) == 0 {
+		t.Fatal("no evictions pinned; trace too small for parity check")
 	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("eviction %d density diverges: monolith %d, engine %d", i, want[i], got[i])
+	for _, got := range []struct {
+		who string
+		obs []int
+	}{{"monolith", mono}, {"composed", collect(buildComposed(t, KindPage, 64))}} {
+		if len(got.obs) != len(want.Demanded) {
+			t.Fatalf("%s eviction count %d, %s pins %d", got.who, len(got.obs), parityPath, len(want.Demanded))
+		}
+		for i := range want.Demanded {
+			if got.obs[i] != want.Demanded[i] {
+				t.Fatalf("%s eviction %d density %d, %s pins %d", got.who, i, got.obs[i], parityPath, want.Demanded[i])
+			}
 		}
 	}
 }
