@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"testing"
 
-	"fpcache/internal/core"
 	"fpcache/internal/dcache"
 	"fpcache/internal/dram"
 	"fpcache/internal/experiments"
@@ -113,30 +112,6 @@ func BenchmarkGeneratorThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.Next()
-	}
-}
-
-// BenchmarkFootprintAccess measures the Footprint Cache's per-access
-// cost in functional mode.
-func BenchmarkFootprintAccess(b *testing.B) {
-	c, err := core.New(core.Default(16 << 20))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	recs := make([]memtrace.Record, 1<<16)
-	for i := range recs {
-		recs[i] = memtrace.Record{
-			PC:    memtrace.PC(0x400000 + rng.Intn(256)*4),
-			Addr:  memtrace.Addr(rng.Intn(1<<22) * 64),
-			Write: rng.Intn(3) == 0,
-		}
-	}
-	var ops []dcache.Op
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops = c.Access(recs[i&(1<<16-1)], ops).Ops
 	}
 }
 

@@ -1,3 +1,10 @@
+// Package core implements the paper's contribution: Footprint Cache —
+// a die-stacked DRAM cache that allocates 1-4KB pages, fetches only
+// each page's predicted footprint of 64B blocks, learns footprints in
+// a PC&offset-indexed Footprint History Table (FHT), and filters
+// singleton pages through a Singleton Table (ST). The design runs as
+// an allocation policy (FootprintPolicy) of the composable engine in
+// internal/dcache.
 package core
 
 import (
@@ -5,14 +12,14 @@ import (
 	"fpcache/internal/memtrace"
 )
 
-// FootprintPolicy is the paper's contribution decomposed into the
-// composable engine's allocation axis (dcache.AllocPolicy): the FHT
-// prediction, Singleton Table filtering, and eviction-time feedback of
-// §4.2-4.4, with the tag array owned by the generic engine instead of
-// the monolithic Cache. Composed as footprint+pagedirect+lru it is
-// byte-identical to Cache (the golden parity test in internal/system
-// proves it); composed with other mapping or fill policies it opens
-// the hybrid design space the paper never explored.
+// FootprintPolicy is the paper's contribution as the composable
+// engine's allocation axis (dcache.AllocPolicy): the FHT prediction,
+// Singleton Table filtering, and eviction-time feedback of §4.2-4.4,
+// with the tag array owned by the generic engine. Composed as
+// footprint+pagedirect+lru it is the paper's Footprint Cache (pinned
+// by the golden parity test in internal/system); composed with other
+// mapping or fill policies it opens the hybrid design space the paper
+// never explored.
 type FootprintPolicy struct {
 	cfg   Config
 	fht   *FHT
@@ -21,8 +28,7 @@ type FootprintPolicy struct {
 }
 
 // NewFootprintPolicy builds the allocation policy from a Footprint
-// configuration (Geometry and TagCycles are owned by the engine and
-// ignored here, except for page size in table budgets).
+// configuration.
 func NewFootprintPolicy(cfg Config) (*FootprintPolicy, error) {
 	fht, err := NewFHT(cfg.FHTEntries, cfg.FHTWays)
 	if err != nil {

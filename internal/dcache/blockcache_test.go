@@ -188,19 +188,21 @@ func TestHotPageBypassesUntilHot(t *testing.T) {
 	}
 }
 
-func mustHot(t *testing.T) *HotPageCache {
+// mustHot builds the CHOP-style hot-page design (§6.7): whole-page
+// allocation over 4KB pages behind a hotness gate.
+func mustHot(t *testing.T) *Gate {
 	t.Helper()
-	h, err := NewHotPageCache(HotPageConfig{
-		Geometry:      PageGeometry{CapacityBytes: 1 << 20, PageBytes: 4096, Ways: 16},
-		TagCycles:     6,
-		FilterEntries: 1024,
-		FilterWays:    8,
-		Threshold:     4,
-	})
+	geom := PageGeometry{CapacityBytes: 1 << 20, PageBytes: 4096, Ways: 16}
+	e, err := NewEngine(EngineConfig{Name: "hotpage", Geometry: geom, TagCycles: 6,
+		Alloc: PageAlloc{}, Mapping: PageDirectMapping{PageBytes: geom.PageBytes}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	g, err := NewGate(GateConfig{Name: "hotpage", Engine: e, Policy: HotGatePolicy{Threshold: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestCoverageCurve(t *testing.T) {

@@ -116,16 +116,19 @@ func TestPageGeometryValidate(t *testing.T) {
 	}
 }
 
-func newPage(t *testing.T) *PageCache {
-	t.Helper()
-	p, err := NewPageCache(PageCacheConfig{Geometry: geom(), TagCycles: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// The page-based (§2.3) and sub-blocked (§3.1) designs are the
+// engine with the PageAlloc and DemandAlloc allocation axes and
+// packed page-direct frames.
+
+func newPage(t *testing.T) *Engine {
+	return testEngine(t, PageAlloc{}, PageDirectMapping{PageBytes: 2048})
 }
 
-func TestPageCacheMissFillsWholePage(t *testing.T) {
+func newSub(t *testing.T) *Engine {
+	return testEngine(t, DemandAlloc{}, PageDirectMapping{PageBytes: 2048})
+}
+
+func TestPageAllocMissFillsWholePage(t *testing.T) {
 	p := newPage(t)
 	out := checkOps(t, p, read(0x10040))
 	if out.Hit {
@@ -143,8 +146,8 @@ func TestPageCacheMissFillsWholePage(t *testing.T) {
 	if offBytes != 2048 || stkBytes != 2048 {
 		t.Fatalf("fill moved off=%d stk=%d, want 2048/2048", offBytes, stkBytes)
 	}
-	if out.TagCycles != 6 {
-		t.Fatalf("tag cycles = %d", out.TagCycles)
+	if out.TagCycles != p.TagCycles() {
+		t.Fatalf("tag cycles = %d, want %d", out.TagCycles, p.TagCycles())
 	}
 	// Any block of the same page now hits.
 	out = checkOps(t, p, read(0x10000))
@@ -153,29 +156,34 @@ func TestPageCacheMissFillsWholePage(t *testing.T) {
 	}
 }
 
-func TestPageCacheDirtyEvictionWritesDirtyBlocksOnly(t *testing.T) {
+func TestPageAllocDirtyEvictionWritesDirtyBlocksOnly(t *testing.T) {
 	p := newPage(t)
-	sets := p.sets
 	// Fill one set completely with writes (1 dirty block each), then
 	// one more page to force an eviction.
-	pageStride := memtrace.Addr(2048 * sets)
-	for i := 0; i <= 16; i++ {
-		checkOps(t, p, write(memtrace.Addr(i)*pageStride))
+	pageStride := memtrace.Addr(2048 * p.sets)
+	var last Outcome
+	for i := 0; i <= p.geom.Ways; i++ {
+		last = checkOps(t, p, write(memtrace.Addr(i)*pageStride))
 	}
 	c := p.Counters()
 	if c.PageEvicts != 1 || c.DirtyEvicts != 1 {
 		t.Fatalf("evictions: %+v", c)
 	}
+	// The writeback carries the one dirty block, not the whole page.
+	for _, op := range last.Ops {
+		if op.Level == OffChip && op.Write && op.Bytes != 64 {
+			t.Fatalf("writeback moved %d bytes, want 64", op.Bytes)
+		}
+	}
 }
 
-func TestPageCacheCleanEvictionSilent(t *testing.T) {
+func TestPageAllocCleanEvictionSilent(t *testing.T) {
 	p := newPage(t)
-	sets := p.sets
-	pageStride := memtrace.Addr(2048 * sets)
-	for i := 0; i < 16; i++ {
+	pageStride := memtrace.Addr(2048 * p.sets)
+	for i := 0; i < p.geom.Ways; i++ {
 		checkOps(t, p, read(memtrace.Addr(i)*pageStride))
 	}
-	out := checkOps(t, p, read(memtrace.Addr(16)*pageStride))
+	out := checkOps(t, p, read(memtrace.Addr(p.geom.Ways)*pageStride))
 	// Eviction of a clean page must not add any writeback op: only
 	// the 3 fill ops.
 	if len(out.Ops) != 3 {
@@ -186,7 +194,7 @@ func TestPageCacheCleanEvictionSilent(t *testing.T) {
 	}
 }
 
-func TestPageCacheDensityObserver(t *testing.T) {
+func TestPageAllocDensityObserver(t *testing.T) {
 	p := newPage(t)
 	var densities []int
 	p.OnEvict = func(d, blocks int) {
@@ -195,13 +203,12 @@ func TestPageCacheDensityObserver(t *testing.T) {
 		}
 		densities = append(densities, d)
 	}
-	sets := p.sets
-	pageStride := memtrace.Addr(2048 * sets)
+	pageStride := memtrace.Addr(2048 * p.sets)
 	// Touch 3 blocks of page 0, then flood the set.
 	checkOps(t, p, read(0))
 	checkOps(t, p, read(64))
 	checkOps(t, p, read(128))
-	for i := 1; i <= 16; i++ {
+	for i := 1; i <= p.geom.Ways; i++ {
 		checkOps(t, p, read(memtrace.Addr(i)*pageStride))
 	}
 	if len(densities) != 1 || densities[0] != 3 {
@@ -209,7 +216,7 @@ func TestPageCacheDensityObserver(t *testing.T) {
 	}
 }
 
-func TestPageCacheWriteMissSkipsCriticalFetch(t *testing.T) {
+func TestPageAllocWriteMissSkipsCriticalFetch(t *testing.T) {
 	p := newPage(t)
 	out := checkOps(t, p, write(0x4000))
 	for _, op := range out.Ops {
@@ -229,23 +236,17 @@ func TestPageCacheWriteMissSkipsCriticalFetch(t *testing.T) {
 	}
 }
 
-func TestPageCacheMetadataFormula(t *testing.T) {
+func TestPageAllocMetadataFormula(t *testing.T) {
 	// Paper Table 4: 64MB page-based tags = 0.22MB. Entry = 18b tag +
 	// 1 valid + 4 LRU + 32 dirty = 55 bits x 32K pages.
 	g := PageGeometry{CapacityBytes: 64 << 20, PageBytes: 2048, Ways: 16}
-	mb := float64(PageMetadataBits(g)) / 8 / (1 << 20)
-	if mb < 0.18 || mb > 0.26 {
-		t.Fatalf("64MB page tags = %.3fMB, want ~0.22MB", mb)
+	if bits := MetadataBits(g, PageAlloc{}); bits != 55*32*1024 {
+		t.Fatalf("64MB page tags = %d bits, want 55 x 32K", bits)
 	}
-}
-
-func newSub(t *testing.T) *SubblockCache {
-	t.Helper()
-	s, err := NewSubblockCache(SubblockConfig{Geometry: geom(), TagCycles: 4})
-	if err != nil {
-		t.Fatal(err)
+	// Sub-blocked tags add a valid vector: 87 bits per page.
+	if bits := MetadataBits(g, DemandAlloc{}); bits != 87*32*1024 {
+		t.Fatalf("64MB sub-blocked tags = %d bits, want 87 x 32K", bits)
 	}
-	return s
 }
 
 func TestSubblockFetchesOnDemandOnly(t *testing.T) {
@@ -279,11 +280,10 @@ func TestSubblockFetchesOnDemandOnly(t *testing.T) {
 
 func TestSubblockEvictionWritesDirtyBlocks(t *testing.T) {
 	s := newSub(t)
-	sets := s.sets
-	pageStride := memtrace.Addr(2048 * sets)
+	pageStride := memtrace.Addr(2048 * s.sets)
 	checkOps(t, s, write(0))
 	checkOps(t, s, write(64))
-	for i := 1; i <= 16; i++ {
+	for i := 1; i <= s.geom.Ways; i++ {
 		checkOps(t, s, read(memtrace.Addr(i)*pageStride))
 	}
 	c := s.Counters()

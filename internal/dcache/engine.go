@@ -11,13 +11,13 @@ import (
 // Design whose behaviour is the product of an allocation policy, a
 // mapping policy, and (optionally, via gate.go) a fill gate. The
 // paper's page-based, sub-blocked, and Footprint designs are fixed
-// policy combinations of this engine — proven byte-identical to the
-// monolithic reference implementations by the golden parity test in
-// internal/system — and hybrids like footprint+banshee compose from
-// the same parts.
+// policy combinations of this engine — pinned byte for byte to the
+// outputs of the original hand-written designs by the golden parity
+// test in internal/system (testdata/parity.golden.json) — and hybrids
+// like footprint+banshee compose from the same parts.
 //
-// The access flow is the superset of the monoliths' flows (§2.3,
-// §3.1, §4.2-4.4): tag lookup; block hit served from the stacked
+// The access flow covers every paper design's flow (§2.3, §3.1,
+// §4.2-4.4): tag lookup; block hit served from the stacked
 // array; block miss on a resident page demand-fetched alone; page
 // miss consulted with the allocation policy (which may bypass),
 // then victim eviction with policy feedback and a single footprint
@@ -151,11 +151,7 @@ func (e *Engine) TagCycles() int { return e.tagCycles }
 // MetadataBits implements Design: the shared tag array (address tag,
 // page-valid bit, LRU) plus the allocation policy's per-page vectors
 // and tables — reproducing each paper design's Table 4 row.
-func (e *Engine) MetadataBits() int64 {
-	pages := e.geom.CapacityBytes / int64(e.geom.PageBytes)
-	per := int64(addressTagBits(e.geom.PageBytes, e.sets) + 1 + lruBits(e.geom.Ways) + e.alloc.MetaBitsPerPage(e.bpp))
-	return pages*per + e.alloc.TableBits(e.bpp)
-}
+func (e *Engine) MetadataBits() int64 { return MetadataBits(e.geom, e.alloc) }
 
 // frame returns the frame index of a (set, way) pair.
 func (e *Engine) frame(set, way int) int64 {

@@ -71,17 +71,23 @@ func (BansheeGatePolicy) NeedsVictimFreq() bool { return true }
 // classified from the inner engine's Outcome (so partial-allocation
 // engines report their block misses and singleton bypasses
 // truthfully), while allocation traffic counters stay attributed to
-// the inner engine — the monolithic hot-page design's accounting
-// split.
+// the inner engine — the CHOP design's accounting split.
 type Gate struct {
 	name        string
 	inner       *Engine
 	policy      GatePolicy
 	filter      *sram.SetAssoc[uint32]
-	fSets       int
 	needsVictim bool
 	ctr         Counters
 }
+
+// The touch-count filter is the CHOP configuration: 64K entries,
+// 16-way.
+const (
+	gateFilterEntries = 64 * 1024
+	gateFilterWays    = 16
+	gateFilterSets    = gateFilterEntries / gateFilterWays
+)
 
 // GateConfig assembles a Gate.
 type GateConfig struct {
@@ -89,9 +95,6 @@ type GateConfig struct {
 	Name   string
 	Engine *Engine
 	Policy GatePolicy
-	// FilterEntries/FilterWays size the touch-count filter (default
-	// 64K entries, 16-way — the CHOP configuration).
-	FilterEntries, FilterWays int
 }
 
 // NewGate builds the gated design.
@@ -99,15 +102,11 @@ func NewGate(cfg GateConfig) (*Gate, error) {
 	if cfg.Engine == nil || cfg.Policy == nil {
 		return nil, fmt.Errorf("dcache: gate %q needs an engine and a policy", cfg.Name)
 	}
-	if cfg.FilterEntries <= 0 || cfg.FilterWays <= 0 || cfg.FilterEntries%cfg.FilterWays != 0 {
-		cfg.FilterEntries, cfg.FilterWays = 64*1024, 16
-	}
 	return &Gate{
 		name:        cfg.Name,
 		inner:       cfg.Engine,
 		policy:      cfg.Policy,
-		filter:      sram.NewSetAssoc[uint32](cfg.FilterEntries/cfg.FilterWays, cfg.FilterWays),
-		fSets:       cfg.FilterEntries / cfg.FilterWays,
+		filter:      sram.NewSetAssoc[uint32](gateFilterSets, gateFilterWays),
 		needsVictim: cfg.Policy.NeedsVictimFreq(),
 	}, nil
 }
@@ -128,8 +127,7 @@ func (g *Gate) Policy() GatePolicy { return g.policy }
 // MetadataBits implements Design: inner tags plus filter counters
 // (28-bit page tag + 8-bit count per entry, the CHOP budget).
 func (g *Gate) MetadataBits() int64 {
-	entries := int64(g.filter.Sets() * g.filter.Ways())
-	return g.inner.MetadataBits() + entries*(28+8)
+	return g.inner.MetadataBits() + gateFilterEntries*(28+8)
 }
 
 // Access implements Design.
@@ -149,8 +147,8 @@ func (g *Gate) Access(rec memtrace.Record, ops []Op) Outcome {
 
 	// Cold page: count the touch; allocate only if the policy admits.
 	pageIdx, _ := pageAddrOf(rec.Addr, g.inner.geom.PageBytes)
-	fSet := int(pageIdx % uint64(g.fSets))
-	fTag := pageIdx / uint64(g.fSets)
+	fSet := int(pageIdx % gateFilterSets)
+	fTag := pageIdx / gateFilterSets
 	ent := g.filter.Lookup(fSet, fTag)
 	first := ent == nil
 	var count uint32

@@ -5,11 +5,10 @@ import (
 	"math/bits"
 
 	"fpcache/internal/memtrace"
-	"fpcache/internal/sram"
 )
 
-// PageGeometry is the shared geometry of page-granularity designs
-// (page-based, sub-blocked, and the Footprint Cache in internal/core).
+// PageGeometry is the shared geometry of the page-granularity engine
+// (page-based, sub-blocked, Footprint Cache and their hybrids).
 type PageGeometry struct {
 	CapacityBytes int64
 	PageBytes     int
@@ -74,143 +73,20 @@ type PageMeta struct {
 // page; Figure 4 is built from it.
 type DensityObserver func(demandedBlocks, pageBlocks int)
 
-// PageCache is the conventional page-based DRAM cache (§2.3): SRAM
-// tags, whole-page fills and evictions, maximal DRAM locality, and an
-// order-of-magnitude off-chip traffic amplification on sparse pages.
-type PageCache struct {
-	geom      PageGeometry
-	sets      int
-	bpp       int
-	tagCycles int
-	tags      *sram.SetAssoc[PageMeta]
-	ctr       Counters
-	// OnEvict, if set, observes eviction densities.
-	OnEvict DensityObserver
-}
-
-// PageCacheConfig configures a page-based cache.
-type PageCacheConfig struct {
-	Geometry  PageGeometry
-	TagCycles int
-}
-
-// NewPageCache builds the design.
-func NewPageCache(cfg PageCacheConfig) (*PageCache, error) {
-	sets, bpp, err := cfg.Geometry.Validate()
-	if err != nil {
-		return nil, err
-	}
-	return &PageCache{
-		geom:      cfg.Geometry,
-		sets:      sets,
-		bpp:       bpp,
-		tagCycles: cfg.TagCycles,
-		tags:      sram.NewSetAssoc[PageMeta](sets, cfg.Geometry.Ways),
-	}, nil
-}
-
-// Name implements Design.
-func (p *PageCache) Name() string { return "page" }
-
-// Counters implements Design.
-func (p *PageCache) Counters() Counters { return p.ctr }
-
-// PageMetadataBits computes the page-based design's SRAM budget for a
-// geometry: per page, an address tag, a valid bit, LRU state, and a
-// per-block dirty vector (this reproduces the paper's Table 4
-// page-based tag storage).
-func PageMetadataBits(geom PageGeometry) int64 {
+// MetadataBits is the SRAM budget of a page-granularity design with
+// the given geometry and allocation policy: per page, an address tag,
+// a page-valid bit and LRU state (the shared tag array), plus the
+// policy's per-page vectors, plus the policy's own tables. It
+// reproduces each paper design's Table 4 row. The geometry must
+// validate.
+func MetadataBits(geom PageGeometry, alloc AllocPolicy) int64 {
 	sets, bpp, err := geom.Validate()
 	if err != nil {
 		panic(err)
 	}
 	pages := geom.CapacityBytes / int64(geom.PageBytes)
-	per := int64(addressTagBits(geom.PageBytes, sets) + 1 + lruBits(geom.Ways) + bpp)
-	return pages * per
-}
-
-// MetadataBits implements Design.
-func (p *PageCache) MetadataBits() int64 { return PageMetadataBits(p.geom) }
-
-// frameAddr returns the stacked-DRAM byte address of a (set, way)
-// frame: set/way pairs directly determine cache-array addresses
-// (§4.1), and a frame spans exactly one DRAM row for 2KB pages.
-func (p *PageCache) frameAddr(set, way int) memtrace.Addr {
-	return memtrace.Addr((int64(set)*int64(p.geom.Ways) + int64(way)) * int64(p.geom.PageBytes))
-}
-
-func (p *PageCache) fullMask() uint64 {
-	if p.bpp == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << p.bpp) - 1
-}
-
-// Access implements Design.
-func (p *PageCache) Access(rec memtrace.Record, ops []Op) Outcome {
-	p.ctr.record(rec)
-	pageIdx, block := pageAddrOf(rec.Addr, p.geom.PageBytes)
-	set := int(pageIdx % uint64(p.sets))
-	tag := pageIdx / uint64(p.sets)
-	bit := uint64(1) << block
-
-	if e := p.tags.Lookup(set, tag); e != nil {
-		p.ctr.Hits++
-		e.Value.Demanded |= bit
-		if rec.Write {
-			e.Value.Dirty |= bit
-		}
-		ops = append(ops[:0], Op{
-			Level: Stacked, Addr: p.frameAddr(set, e.Way()) + memtrace.Addr(block*64),
-			Bytes: 64, Write: rec.Write, Critical: criticality(rec.Write), DependsOn: NoDep,
-		})
-		return Outcome{Hit: true, TagCycles: p.tagCycles, Ops: ops}
-	}
-
-	// Page miss: evict the victim, fetch the whole page (§2.3).
-	p.ctr.Misses++
-	ops = ops[:0]
-	victim := p.tags.Victim(set)
-	frame := p.frameAddr(set, victim.Way())
-	if victim.Valid() {
-		p.ctr.PageEvicts++
-		if p.OnEvict != nil {
-			p.OnEvict(popcount(victim.Value.Demanded), p.bpp)
-		}
-		if victim.Value.Dirty != 0 {
-			// Writeback: stream the dirty blocks out of the page's
-			// row (the dirty vector is in the SRAM tags, so clean
-			// blocks never travel).
-			p.ctr.DirtyEvicts++
-			n := popcount(victim.Value.Dirty)
-			victimBase := memtrace.Addr(victim.Tag*uint64(p.sets)+uint64(set)) * memtrace.Addr(p.geom.PageBytes)
-			ops = append(ops,
-				Op{Level: Stacked, Addr: frame, Bytes: n * 64, Write: false, DependsOn: NoDep},
-				Op{Level: OffChip, Addr: victimBase, Bytes: n * 64, Write: true, DependsOn: 0},
-			)
-		}
-	}
-
-	// Critical-block-first fetch, then the page remainder, then the
-	// fill into the stacked array. A write miss carries its own 64B
-	// block, so only the remainder is fetched.
-	pageBase := memtrace.Addr(pageIdx * uint64(p.geom.PageBytes))
-	crit := NoDep
-	if !rec.Write {
-		crit = len(ops)
-		ops = append(ops, Op{Level: OffChip, Addr: rec.Addr, Bytes: 64, Critical: true, DependsOn: NoDep})
-	}
-	rest := len(ops)
-	ops = append(ops, Op{Level: OffChip, Addr: pageBase, Bytes: p.geom.PageBytes - 64, DependsOn: crit})
-	ops = append(ops, Op{Level: Stacked, Addr: frame, Bytes: p.geom.PageBytes, Write: true, DependsOn: rest})
-
-	meta := PageMeta{Valid: p.fullMask(), Demanded: bit}
-	if rec.Write {
-		meta.Dirty = bit
-	}
-	p.tags.Insert(set, tag, meta)
-	p.ctr.PageAllocs++
-	return Outcome{TagCycles: p.tagCycles, Ops: ops}
+	per := int64(addressTagBits(geom.PageBytes, sets) + 1 + lruBits(geom.Ways) + alloc.MetaBitsPerPage(bpp))
+	return pages*per + alloc.TableBits(bpp)
 }
 
 // addressTagBits computes tag width for a 40-bit physical address

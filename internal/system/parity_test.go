@@ -9,20 +9,24 @@ import (
 	"path/filepath"
 	"testing"
 
-	"fpcache/internal/core"
 	"fpcache/internal/dcache"
 	"fpcache/internal/synth"
 	"fpcache/internal/testutil"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/parity.golden.json from the monolithic reference designs")
+var update = flag.Bool("update", false, "rewrite testdata/parity.golden.json from BuildDesign")
 
 // The golden parity suite pins every paper design to frozen outputs:
 // testdata/parity.golden.json holds the FunctionalResult JSON and
 // metadata budget of 9 kinds x 2 workloads x 2 capacities, and the
-// Figure-4 eviction densities of the page design, all written by the
-// monolithic reference implementations. The policy-composed engine
-// that BuildDesign returns must reproduce them byte for byte.
+// Figure-4 eviction densities of the page design. The file was
+// written by hand-written reference implementations of the page,
+// sub-blocked, Footprint and hot-page designs, and BuildDesign's
+// policy compositions were checked against both before those were
+// retired. BuildDesign must keep reproducing it byte for byte. A
+// change that moves a number regenerates it with
+// `go test -run TestGoldenParity -update ./internal/system` and says
+// in its description which designs moved and why.
 
 // The parity suite's fixed inputs.
 const (
@@ -139,65 +143,8 @@ func storeParityGolden(t *testing.T, g parityGolden) {
 	}
 }
 
-// buildMonolith replicates the pre-refactor BuildDesign wiring for a
-// kind (the monolithic constructors, with the same geometry, latency,
-// and table parameters the factory used before the engine existed).
-func buildMonolith(t *testing.T, kind string, paperMB int, scale float64) dcache.Design {
-	t.Helper()
-	spec := DesignSpec{Kind: kind, PaperCapacityMB: paperMB, Scale: scale}.withDefaults()
-	capBytes := spec.CapacityBytes()
-	lat := TagLatencyFor(kind, paperMB)
-	geom := dcache.PageGeometry{CapacityBytes: capBytes, PageBytes: spec.PageBytes, Ways: spec.Ways}
-	var (
-		d   dcache.Design
-		err error
-	)
-	switch kind {
-	case KindBaseline:
-		d = dcache.NewBaseline()
-	case KindIdeal:
-		d = dcache.NewIdeal()
-	case KindPage:
-		d, err = dcache.NewPageCache(dcache.PageCacheConfig{Geometry: geom, TagCycles: lat})
-	case KindSubblock:
-		d, err = dcache.NewSubblockCache(dcache.SubblockConfig{Geometry: geom, TagCycles: lat})
-	case KindBlock:
-		entries, ways, mmLat := dcache.MissMapParams(paperMB)
-		entries = int(float64(entries) * scale)
-		entries -= entries % ways
-		if entries < ways {
-			entries = ways
-		}
-		d, err = dcache.NewBlockCache(dcache.BlockCacheConfig{
-			CapacityBytes:  capBytes,
-			MissMapEntries: entries,
-			MissMapWays:    ways,
-			TagCycles:      mmLat,
-		})
-	case KindFootprint, KindFootprintNoSingleton, KindFootprintUnion:
-		fc := core.Default(capBytes)
-		fc.Geometry = geom
-		fc.TagCycles = lat
-		fc.FHTEntries = spec.FHTEntries
-		fc.SingletonOpt = kind != KindFootprintNoSingleton
-		if kind == KindFootprintUnion {
-			fc.Feedback = core.FeedbackUnion
-		}
-		d, err = core.New(fc)
-	case KindHotPage:
-		geom.PageBytes = 4096
-		d, err = dcache.NewHotPageCache(dcache.HotPageConfig{Geometry: geom, TagCycles: lat})
-	default:
-		t.Fatalf("no monolith for kind %q", kind)
-	}
-	if err != nil {
-		t.Fatalf("monolith %s: %v", kind, err)
-	}
-	return d
-}
-
-// buildComposed is the production path.
-func buildComposed(t *testing.T, kind string, paperMB int) dcache.Design {
+// parityBuild builds a kind at the suite's scale.
+func parityBuild(t *testing.T, kind string, paperMB int) dcache.Design {
 	t.Helper()
 	d, err := BuildDesign(DesignSpec{Kind: kind, PaperCapacityMB: paperMB, Scale: parityScale})
 	if err != nil {
@@ -221,40 +168,34 @@ func parityRun(t *testing.T, d dcache.Design, workload, kind string, mb int) par
 
 func TestGoldenParityAllDesigns(t *testing.T) {
 	g := loadParityGolden(t)
-	var mono []parityDesign
+	var got []parityDesign
 	for _, wl := range parityWorkloads {
 		for _, kind := range parityKinds {
 			for _, mb := range parityCapacities {
-				mono = append(mono, parityRun(t, buildMonolith(t, kind, mb, parityScale), wl, kind, mb))
+				got = append(got, parityRun(t, parityBuild(t, kind, mb), wl, kind, mb))
 			}
 		}
 	}
 	if *update {
-		g.Designs = mono
+		g.Designs = got
 		storeParityGolden(t, g)
 	}
-	if len(g.Designs) != len(mono) {
-		t.Fatalf("%s pins %d designs, the suite runs %d", parityPath, len(g.Designs), len(mono))
+	if len(g.Designs) != len(got) {
+		t.Fatalf("%s pins %d designs, the suite runs %d", parityPath, len(g.Designs), len(got))
 	}
 	for i, want := range g.Designs {
-		m := mono[i]
-		if want.Workload != m.Workload || want.Kind != m.Kind || want.PaperMB != m.PaperMB {
+		run := got[i]
+		if want.Workload != run.Workload || want.Kind != run.Kind || want.PaperMB != run.PaperMB {
 			t.Fatalf("%s entry %d is %s/%s/%dMB, the suite runs %s/%s/%dMB",
-				parityPath, i, want.Workload, want.Kind, want.PaperMB, m.Workload, m.Kind, m.PaperMB)
+				parityPath, i, want.Workload, want.Kind, want.PaperMB, run.Workload, run.Kind, run.PaperMB)
 		}
-		composed := parityRun(t, buildComposed(t, m.Kind, m.PaperMB), m.Workload, m.Kind, m.PaperMB)
-		for _, got := range []struct {
-			who string
-			run parityDesign
-		}{{"monolith", m}, {"composed", composed}} {
-			if !bytes.Equal(got.run.Result, want.Result) {
-				t.Errorf("%s/%s/%dMB: %s result diverges from %s\n got: %s\nwant: %s",
-					m.Workload, m.Kind, m.PaperMB, got.who, parityPath, got.run.Result, want.Result)
-			}
-			if got.run.MetadataBits != want.MetadataBits {
-				t.Errorf("%s/%dMB: %s metadata budget %d, %s pins %d",
-					m.Kind, m.PaperMB, got.who, got.run.MetadataBits, parityPath, want.MetadataBits)
-			}
+		if !bytes.Equal(run.Result, want.Result) {
+			t.Errorf("%s/%s/%dMB: result diverges from %s\n got: %s\nwant: %s",
+				run.Workload, run.Kind, run.PaperMB, parityPath, run.Result, want.Result)
+		}
+		if run.MetadataBits != want.MetadataBits {
+			t.Errorf("%s/%dMB: metadata budget %d, %s pins %d",
+				run.Kind, run.PaperMB, run.MetadataBits, parityPath, want.MetadataBits)
 		}
 	}
 }
@@ -264,23 +205,12 @@ func TestGoldenParityAllDesigns(t *testing.T) {
 // the same order, as when the file was written.
 func TestGoldenParityDensityObserver(t *testing.T) {
 	g := loadParityGolden(t)
-	collect := func(d dcache.Design) []int {
-		var out []int
-		obs := func(demanded, pageBlocks int) { out = append(out, demanded) }
-		switch v := d.(type) {
-		case *dcache.PageCache:
-			v.OnEvict = obs
-		case *dcache.Engine:
-			v.OnEvict = obs
-		default:
-			t.Fatalf("%T has no density observer", d)
-		}
-		RunFunctional(d, testutil.SynthTrace(t, synth.MapReduce, paritySeed, parityScale), 0, parityDensityRefs)
-		return out
-	}
-	mono := collect(buildMonolith(t, KindPage, 64, parityScale))
+	eng := parityBuild(t, KindPage, 64).(*dcache.Engine)
+	var got []int
+	eng.OnEvict = func(demanded, pageBlocks int) { got = append(got, demanded) }
+	RunFunctional(eng, testutil.SynthTrace(t, synth.MapReduce, paritySeed, parityScale), 0, parityDensityRefs)
 	if *update {
-		g.Density = parityDensity{Workload: synth.MapReduce, Kind: KindPage, PaperMB: 64, Refs: parityDensityRefs, Demanded: mono}
+		g.Density = parityDensity{Workload: synth.MapReduce, Kind: KindPage, PaperMB: 64, Refs: parityDensityRefs, Demanded: got}
 		storeParityGolden(t, g)
 	}
 	want := g.Density
@@ -291,17 +221,12 @@ func TestGoldenParityDensityObserver(t *testing.T) {
 	if len(want.Demanded) == 0 {
 		t.Fatal("no evictions pinned; trace too small for parity check")
 	}
-	for _, got := range []struct {
-		who string
-		obs []int
-	}{{"monolith", mono}, {"composed", collect(buildComposed(t, KindPage, 64))}} {
-		if len(got.obs) != len(want.Demanded) {
-			t.Fatalf("%s eviction count %d, %s pins %d", got.who, len(got.obs), parityPath, len(want.Demanded))
-		}
-		for i := range want.Demanded {
-			if got.obs[i] != want.Demanded[i] {
-				t.Fatalf("%s eviction %d density %d, %s pins %d", got.who, i, got.obs[i], parityPath, want.Demanded[i])
-			}
+	if len(got) != len(want.Demanded) {
+		t.Fatalf("eviction count %d, %s pins %d", len(got), parityPath, len(want.Demanded))
+	}
+	for i := range want.Demanded {
+		if got[i] != want.Demanded[i] {
+			t.Fatalf("eviction %d density %d, %s pins %d", i, got[i], parityPath, want.Demanded[i])
 		}
 	}
 }
