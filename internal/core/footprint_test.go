@@ -40,17 +40,6 @@ func (c fpCache) Extra() Stats { return c.policy.Extra() }
 // FHTStats exposes predictor table counters.
 func (c fpCache) FHTStats() (queries, cold, updates uint64) { return c.policy.FHTStats() }
 
-// newEngine composes the engine around an allocation policy.
-func newEngine(cfg Config, alloc dcache.AllocPolicy) (*dcache.Engine, error) {
-	return dcache.NewEngine(dcache.EngineConfig{
-		Name:      cfg.VariantName(),
-		Geometry:  testGeometry,
-		TagCycles: 9,
-		Alloc:     alloc,
-		Mapping:   dcache.PageDirectMapping{PageBytes: testGeometry.PageBytes},
-	})
-}
-
 func mustCache(t *testing.T, cfg Config) fpCache {
 	t.Helper()
 	c, _ := mustLoggedCache(t, cfg, false)
@@ -71,8 +60,8 @@ func (l *evictLog) OnEvict(meta *dcache.PageMeta) {
 	l.FootprintPolicy.OnEvict(meta)
 }
 
-// mustLoggedCache builds the engine, with the policy wrapped in an
-// evictLog when logged is set.
+// mustLoggedCache composes footprint+pagedirect+lru, with the policy
+// wrapped in an evictLog when logged is set.
 func mustLoggedCache(t *testing.T, cfg Config, logged bool) (fpCache, *evictLog) {
 	t.Helper()
 	p, err := NewFootprintPolicy(cfg)
@@ -87,7 +76,13 @@ func mustLoggedCache(t *testing.T, cfg Config, logged bool) (fpCache, *evictLog)
 		log = &evictLog{FootprintPolicy: p}
 		alloc = log
 	}
-	e, err := newEngine(cfg, alloc)
+	e, err := dcache.NewEngine(dcache.EngineConfig{
+		Name:      cfg.VariantName(),
+		Geometry:  testGeometry,
+		TagCycles: 9,
+		Alloc:     alloc,
+		Mapping:   dcache.PageDirectMapping{PageBytes: testGeometry.PageBytes},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
